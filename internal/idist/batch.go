@@ -8,18 +8,18 @@ import (
 )
 
 // Batch queries fan a workload of independent searches across a worker
-// pool. The search read path touches the B⁺-tree, the partition geometry,
-// and the stored reduced coordinates — all immutable after Build — plus the
-// attached cost Sink, which is the one piece of shared mutable state. With
-// workers > 1 the Sink must therefore be goroutine-safe (AtomicCounter) or
-// nil; a plain Counter is only safe at workers <= 1.
+// pool. The search read path touches the layout (or the B⁺-tree), the
+// partition geometry, and the stored reduced coordinates — all immutable
+// between writes — plus the attached cost Sink, which is the one piece of
+// shared mutable state. With workers > 1 the Sink must therefore be
+// goroutine-safe (AtomicCounter) or nil; a plain Counter is only safe at
+// workers <= 1.
 //
 // Queries are split into contiguous chunks, one worker each. With the SoA
-// layout materialized, every worker runs the FUSED path: its chunk is cut
-// into tiles of batchTile queries and each partition scan serves a whole
-// tile from one pass over the partition's block (see fused.go) — the
-// single-core win of batching. After a dynamic Insert/Delete (layout
-// dropped) workers fall back to a per-query loop over a shared
+// layout materialized, every worker cuts its chunk into tiles of batchTile
+// queries for the tile engine (fused.go), the same engine the solo entry
+// points run with a tile of one. After a dynamic Insert/Delete (layout
+// dropped) workers fall back to a per-query tree-cursor loop over a shared
 // queryScratch. Either way a batch allocates only the result slices.
 //
 // Results land at the same position as their query, so out[i] is exactly
@@ -31,53 +31,84 @@ import (
 //
 //mmdr:hotpath budget pinned by alloc_test: 2 + one result slice per query
 func (idx *Index) BatchKNN(queries [][]float64, k, workers int) [][]index.Neighbor {
+	return idx.batchKNN(queries, k, workers, nil)
+}
+
+// BatchKNNTrace is BatchKNN with a per-query structured explain: traces[i]
+// records the search rounds and partition scans of queries[i], exactly as
+// KNNTrace would for that query alone.
+//
+//mmdr:hotpath
+func (idx *Index) BatchKNNTrace(queries [][]float64, k, workers int) ([][]index.Neighbor, []*QueryTrace) {
+	traces := make([]*QueryTrace, len(queries))
+	for i := range traces {
+		traces[i] = &QueryTrace{K: k}
+	}
+	return idx.batchKNN(queries, k, workers, traces), traces
+}
+
+// batchKNN runs BatchKNN; a non-nil traces receives each query's explain,
+// filled after its tile (or tree-cursor search) finishes.
+//
+//mmdr:hotpath
+func (idx *Index) batchKNN(queries [][]float64, k, workers int, traces []*QueryTrace) [][]index.Neighbor {
 	out := make([][]index.Neighbor, len(queries))
+	if k <= 0 {
+		return out
+	}
 	ops := idx.ops
-	fused := idx.layout != nil && k > 0
+	fused := idx.layout != nil
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if fused {
-			bs := idx.getBatchScratch()
-			defer idx.putBatchScratch(bs)
-			for t := lo; t < hi; t += batchTile {
-				te := t + batchTile
-				if te > hi {
-					te = hi
+		if !fused {
+			sc := idx.getScratch()
+			defer idx.putScratch(sc)
+			for i := lo; i < hi; i++ {
+				var qs time.Time
+				if ops != nil {
+					qs = time.Now()
+				}
+				out[i] = idx.knnInto(sc, queries[i], k, 0)
+				if traces != nil {
+					idx.cursorTrace(sc, traces[i])
 				}
 				if ops == nil {
-					idx.knnTile(bs, queries[t:te], k, out[t:te])
 					continue
 				}
-				// The fused pass interleaves the tile's queries, so per-query
-				// latency is attributed as the tile average — counts stay one
-				// record per query, in the worker's own shard cell.
-				ts := time.Now()
-				idx.knnTile(bs, queries[t:te], k, out[t:te])
-				per := time.Since(ts) / time.Duration(te-t)
-				for i := t; i < te; i++ {
-					if ops.knn.RecordShard(w, per) {
-						idx.captureSlowKNN(queries[i], k, per)
-					}
+				// Each worker records into its own shard cell, so per-query
+				// instrumentation adds no cross-worker contention.
+				elapsed := time.Since(qs)
+				if ops.knn.RecordShard(w, elapsed) {
+					idx.captureSlowKNN(queries[i], k, elapsed)
 				}
 			}
 			return
 		}
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		if ops == nil {
-			for i := lo; i < hi; i++ {
-				out[i] = idx.knnInto(sc, queries[i], k, 0, nil)
+		bs := idx.getBatchScratch()
+		defer idx.putBatchScratch(bs)
+		for t := lo; t < hi; t += batchTile {
+			te := min(t+batchTile, hi)
+			var ts time.Time
+			if ops != nil {
+				ts = time.Now()
 			}
-			return
-		}
-		// Each worker records into its own shard cell, so per-query
-		// instrumentation adds no cross-worker contention.
-		for i := lo; i < hi; i++ {
-			qs := time.Now()
-			out[i] = idx.knnInto(sc, queries[i], k, 0, nil)
-			elapsed := time.Since(qs)
-			if ops.knn.RecordShard(w, elapsed) {
-				idx.captureSlowKNN(queries[i], k, elapsed)
+			idx.knnTile(bs, queries[t:te], k, 0, out[t:te])
+			if traces != nil {
+				for i := t; i < te; i++ {
+					idx.tileTrace(bs, i-t, traces[i])
+				}
+			}
+			if ops == nil {
+				continue
+			}
+			// The fused pass interleaves the tile's queries, so per-query
+			// latency is attributed as the tile average — counts stay one
+			// record per query, in the worker's own shard cell.
+			per := time.Since(ts) / time.Duration(te-t)
+			for i := t; i < te; i++ {
+				if ops.knn.RecordShard(w, per) {
+					idx.captureSlowKNN(queries[i], k, per)
+				}
 			}
 		}
 	})
@@ -85,24 +116,6 @@ func (idx *Index) BatchKNN(queries [][]float64, k, workers int) [][]index.Neighb
 		ops.batchKNN.Record(time.Since(start))
 	}
 	return out
-}
-
-// BatchKNNTrace is BatchKNN with a per-query structured explain: traces[i]
-// records the search rounds and partition scans of queries[i].
-//
-//mmdr:hotpath
-func (idx *Index) BatchKNNTrace(queries [][]float64, k, workers int) ([][]index.Neighbor, []*QueryTrace) {
-	out := make([][]index.Neighbor, len(queries))
-	traces := make([]*QueryTrace, len(queries))
-	pool.Chunks(pool.Workers(workers), len(queries), func(_, lo, hi int) {
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		for i := lo; i < hi; i++ {
-			traces[i] = &QueryTrace{K: k}
-			out[i] = idx.knnInto(sc, queries[i], k, 0, traces[i])
-		}
-	})
-	return out, traces
 }
 
 // BatchRange answers len(queries) range queries of radius r using at most
@@ -115,39 +128,37 @@ func (idx *Index) BatchRange(queries [][]float64, r float64, workers int) [][]in
 	fused := idx.layout != nil
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if fused {
-			bs := idx.getBatchScratch()
-			defer idx.putBatchScratch(bs)
-			for t := lo; t < hi; t += batchTile {
-				te := t + batchTile
-				if te > hi {
-					te = hi
-				}
-				if ops == nil {
-					idx.rangeTile(bs, queries[t:te], r, out[t:te])
-					continue
-				}
-				ts := time.Now()
-				idx.rangeTile(bs, queries[t:te], r, out[t:te])
-				per := time.Since(ts) / time.Duration(te-t)
-				for i := t; i < te; i++ {
-					ops.rng.RecordShard(w, per)
-				}
-			}
-			return
-		}
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		if ops == nil {
+		if !fused {
+			sc := idx.getScratch()
+			defer idx.putScratch(sc)
 			for i := lo; i < hi; i++ {
+				var qs time.Time
+				if ops != nil {
+					qs = time.Now()
+				}
 				out[i] = idx.rangeInto(sc, queries[i], r)
+				if ops != nil {
+					ops.rng.RecordShard(w, time.Since(qs))
+				}
 			}
 			return
 		}
-		for i := lo; i < hi; i++ {
-			qs := time.Now()
-			out[i] = idx.rangeInto(sc, queries[i], r)
-			ops.rng.RecordShard(w, time.Since(qs))
+		bs := idx.getBatchScratch()
+		defer idx.putBatchScratch(bs)
+		for t := lo; t < hi; t += batchTile {
+			te := min(t+batchTile, hi)
+			var ts time.Time
+			if ops != nil {
+				ts = time.Now()
+			}
+			idx.rangeTile(bs, queries[t:te], r, out[t:te])
+			if ops == nil {
+				continue
+			}
+			per := time.Since(ts) / time.Duration(te-t)
+			for i := t; i < te; i++ {
+				ops.rng.RecordShard(w, per)
+			}
 		}
 	})
 	if ops != nil {

@@ -7,34 +7,34 @@ import (
 	"mmdr/internal/matrix"
 )
 
-// Fused batch search: one partition scan serves a whole tile of queries.
+// The scan engine: every search over the SoA layout runs here, as a tile of
+// up to batchTile queries. Batch calls cut their workload into full tiles;
+// the solo entry points (KNN, KNNApprox, KNNTrace, Range, KNNQuantized)
+// run a tile of one. The tree-cursor search (knnInto, rangeInto) serves
+// only an index whose layout a dynamic Insert/Delete dropped.
 //
-// The per-query search (knnInto) walks the tree once per annulus segment per
-// partition per round — for a batch, every query repeats that walk and
-// re-streams the same vector blocks through the cache. With the SoA layout
-// materialized the tree walk is replaceable by two binary searches over the
-// layout's key array (the half-open annulus bounds convert exactly to
-// row-interval endpoints), which makes the scans of different queries
-// composable: the tile's row intervals are decomposed into elementary
-// intervals, and each block row in an interval is evaluated against every
-// query active there via the multi-query kernel (matrix.SqDistRowToSel) —
-// each row is read once per tile instead of once per query.
+// Each partition scan converts the tile's key annuli to row intervals with
+// binary searches over the layout's key array (the half-open annulus bounds
+// map exactly to row endpoints), decomposes them into elementary intervals,
+// and evaluates each block row in an interval against every query active
+// there — query-outer when one query is active or rows are narrow, through
+// the multi-query kernel (matrix.SqDistRowToSel) otherwise — so each row is
+// read once per tile instead of once per query.
 //
 // Equivalence: every query keeps its own radius schedule state, annulus
-// edges, early-abandon bounds, and stop condition, all computed by the same
-// expressions in the same order as the per-query path; rows reach a query in
-// ascending global position, which is exactly the per-query visit order
+// edges, early-abandon bounds, and stop condition; rows reach a query in
+// ascending global position, which is exactly the tree cursor's visit order
 // (lo-extension keys precede hi-extension keys). Identical candidate
-// sequences with identical bounds drive identical heap evolution, so fused
-// answers are bit-identical to a sequential query loop — locked down by the
-// equivalence tests and the FuzzBatchKNNvsKNN target.
+// sequences with identical bounds drive identical heap evolution, so a
+// query's answer does not depend on the tile it shares — locked down
+// against the frozen reference and the seqscan oracle by the equivalence
+// tests, and tile against tile by the FuzzBatchKNNvsKNN target.
 //
-// Cost accounting: DistanceOps are exact (one per query-candidate pair, as
-// in the per-query path). Page reads count each leaf the fused scan touches
-// once per partition scan — the physical I/O of the shared pass, which is
-// the point of fusing — rather than once per query, so page totals are
-// intentionally lower than a sequential loop's. Key compares charge the
-// binary-search probes actually performed.
+// Cost accounting: DistanceOps are exact (one per query-candidate pair).
+// Page reads count each leaf a partition scan touches once — the physical
+// I/O of the shared pass, which is the point of fusing — rather than once
+// per query or per annulus segment. Key compares charge the binary-search
+// probes actually performed.
 
 // batchTile is the number of queries a fused partition scan serves at once.
 // The tile bounds the working set of per-query state (heaps, projections,
@@ -49,13 +49,21 @@ func BatchTile() int { return batchTile }
 
 // batchScratch bundles every buffer a fused tile search needs, pooled on
 // the index so steady-state batch queries allocate only their result
-// slices. All per-query-per-partition state is indexed [pi*batchTile + j].
+// slices. All per-query-per-partition state is indexed [pi*nq + j], nq the
+// width of the tile being searched, so a tile of one keeps its state as
+// compact as a per-query search would.
 type batchScratch struct {
 	idx  *Index
+	nq   int           // queries in the tile being searched (set by primeTile)
 	tops []*index.TopK // per-query KNN accumulators (squared distances)
 
 	done    []bool // query finished (KNN stop condition met)
-	allDone []bool // per-round accumulator, mirrors knnInto's allDone
+	allDone []bool // per-round accumulator: nothing left to scan
+
+	// Rounds run and final radius of each KNN query, stored when it
+	// finishes; the explain reads them (see tileTrace).
+	rounds []int
+	radius []float64
 
 	dist      []float64 // dist(q_j, O_pi) in the partition metric
 	scanLo    []float64 // already-scanned annulus per query per partition
@@ -68,7 +76,7 @@ type batchScratch struct {
 	rowLo []int
 	rowHi []int
 
-	// projBuf holds, per partition, a flat batchTile×dims[pi] row-major
+	// projBuf holds, per partition, a flat nq×dims[pi] row-major
 	// tile of query-side vectors (subspace projections, or the original
 	// queries for the outlier partition), at offset projOff[pi]. This is
 	// the qs argument of matrix.SqDistRowToSel.
@@ -89,14 +97,14 @@ type batchScratch struct {
 
 	rangeBufs [][]index.Neighbor // per-query Range accumulators (squared)
 
-	// Quantized-path state (sized by ensureQuant, see fusedquant.go):
+	// Quantized-path state (laid out by ensureQuant, see fusedquant.go):
 	// per-query ADC estimate reservoirs plus a per-partition tile of
 	// per-query lookup tables, built lazily per (query, partition) per
 	// tile search.
 	ests    []*quantReservoir
 	qtab    []float64
 	qtabOff []int  // len nParts+1; partition pi's table tile at qtabOff[pi]
-	qbuilt  []bool // [pi*batchTile + j]: query j's table for pi is built
+	qbuilt  []bool // [pi*nq + j]: query j's table for pi is built
 	qrows   []int  // per-query rows evaluated, against the scan quota
 }
 
@@ -112,6 +120,8 @@ func (idx *Index) getBatchScratch() *batchScratch {
 		}
 		bs.done = make([]bool, batchTile)
 		bs.allDone = make([]bool, batchTile)
+		bs.rounds = make([]int, batchTile)
+		bs.radius = make([]float64, batchTile)
 		bs.segA = make([]int, 2*batchTile)
 		bs.segB = make([]int, 2*batchTile)
 		bs.segQ = make([]int32, 2*batchTile)
@@ -159,30 +169,35 @@ func (bs *batchScratch) ensure() {
 		bs.projOff = make([]int, nP)
 	}
 	bs.projOff = bs.projOff[:nP]
-	off := 0
+	sumDims := 0
 	for pi := 0; pi < nP; pi++ {
-		bs.projOff[pi] = off
-		off += lay.dims[pi] * batchTile
+		sumDims += lay.dims[pi]
 	}
-	if cap(bs.projBuf) < off {
-		bs.projBuf = make([]float64, off)
+	if need := sumDims * batchTile; cap(bs.projBuf) < need {
+		bs.projBuf = make([]float64, need)
 	}
-	bs.projBuf = bs.projBuf[:off]
 }
 
 // primeTile projects the tile's queries into every partition's metric and
-// resets the per-query annulus state — the fused counterpart of knnInto's
-// per-partition setup loop, computed by the same expressions.
+// resets the per-query annulus state, by the same expressions as the
+// tree-cursor setup in knnInto. A non-finite reference distance (a query
+// whose squared projection overflows) can never be reached by a finite
+// radius, so that partition starts out exhausted instead of keeping the
+// radius loop alive forever.
 func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 	lay := idx.layout
 	nq := len(queries)
+	bs.nq = nq
+	off := 0
 	for pi := range idx.parts {
 		p := &idx.parts[pi]
 		d := lay.dims[pi]
-		tile := bs.projBuf[bs.projOff[pi]:]
+		bs.projOff[pi] = off
+		tile := bs.projBuf[off:]
+		off += d * nq
 		for j := 0; j < nq; j++ {
 			qp := tile[j*d : (j+1)*d]
-			si := pi*batchTile + j
+			si := pi*nq + j
 			if p.sub != nil {
 				p.sub.ProjectInto(queries[j], qp)
 				bs.dist[si] = math.Sqrt(matrix.SqNorm(qp))
@@ -192,17 +207,18 @@ func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 			}
 			bs.scanLo[si] = math.Inf(1)
 			bs.scanHi[si] = math.Inf(-1)
-			bs.exhausted[si] = false
+			bs.exhausted[si] = !finite(bs.dist[si])
 		}
 	}
 }
 
 // knnTile answers one tile of KNN queries with fused partition scans,
 // writing out[j] for queries[j]. len(queries) <= batchTile, k > 0, layout
-// materialized.
+// materialized. maxRounds > 0 caps the radius enlargement (KNNApprox's
+// online-answering mode); 0 runs every query to its exact stop.
 //
 //mmdr:hotpath fused tile search; allocates only the per-query result slices
-func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]index.Neighbor) {
+func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k, maxRounds int, out [][]index.Neighbor) {
 	nq := len(queries)
 	for j := 0; j < nq; j++ {
 		bs.tops[j].Reset(k)
@@ -214,7 +230,7 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 	// schedule r = round·deltaR — the same schedule each would run alone —
 	// with per-query annulus state, stop checks, and completion.
 	r := idx.deltaR
-	for {
+	for round := 1; ; round++ {
 		for j := 0; j < nq; j++ {
 			bs.allDone[j] = true
 		}
@@ -226,8 +242,13 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 			if bs.done[j] {
 				continue
 			}
-			if (bs.tops[j].Len() >= k && bs.tops[j].Kth() <= r*r) || bs.allDone[j] {
+			// Stop when the k-th squared distance is within the sphere (every
+			// closer point has been seen), nothing remains to scan, or the
+			// round cap is hit (round counts from 1, so maxRounds 0 never
+			// matches).
+			if (bs.tops[j].Len() >= k && bs.tops[j].Kth() <= r*r) || bs.allDone[j] || round == maxRounds {
 				bs.done[j] = true
+				bs.rounds[j], bs.radius[j] = round, r
 			} else {
 				finished = false
 			}
@@ -243,6 +264,28 @@ func (idx *Index) knnTile(bs *batchScratch, queries [][]float64, k int, out [][]
 			res[i].Dist = math.Sqrt(res[i].Dist)
 		}
 		out[j] = res
+	}
+}
+
+// tileTrace fills tr with the explain of tile query j after knnTile ran,
+// from the state the search already keeps: a partition's scanned rows are
+// the contiguous interval [rowLo, rowHi), so its length is the candidate
+// count and its first and last leaves bound the leaves it spans.
+func (idx *Index) tileTrace(bs *batchScratch, j int, tr *QueryTrace) {
+	lay := idx.layout
+	tr.Rounds, tr.FinalRadius = bs.rounds[j], bs.radius[j]
+	tr.Partitions = make([]PartitionProbe, len(idx.parts))
+	for pi := range idx.parts {
+		si := pi*bs.nq + j
+		cand, leaves := 0, 0
+		if bs.scanLo[si] <= bs.scanHi[si] {
+			ps := lay.partStart[pi]
+			a, b := bs.rowLo[si], bs.rowHi[si]
+			if cand = b - a; cand > 0 {
+				leaves = int(lay.leafOf[ps+b-1]-lay.leafOf[ps+a]) + 1
+			}
+		}
+		idx.setProbe(tr, pi, bs.dist[si], bs.scanLo[si], bs.scanHi[si], bs.exhausted[si], cand, leaves)
 	}
 }
 
@@ -265,7 +308,7 @@ func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int, r float64) {
 	// RangeBetween's bound flags select.
 	nseg := 0
 	for j := 0; j < nq; j++ {
-		si := pi*batchTile + j
+		si := pi*bs.nq + j
 		if bs.done[j] || bs.exhausted[si] {
 			continue
 		}
@@ -497,10 +540,10 @@ func (idx *Index) evalSegments(bs *batchScratch, pi, ps, nseg int, knnMode bool,
 		}
 		act := bs.act[:na]
 		if na == 1 || d < matrix.EarlyAbandonMinLen {
-			// Query-outer evaluation: each active query runs the solo-style
-			// tight loop over the interval's contiguous rows (identical
-			// arithmetic to knnRunVisit/rangeRunVisit). Elementary intervals
-			// are annulus-intersection sized, so for na > 1 the second and
+			// Query-outer evaluation: each active query runs its own tight
+			// loop over the interval's contiguous rows (the arithmetic of
+			// the tree-cursor visit callbacks). A tile of one always lands
+			// here. Elementary intervals are annulus-intersection sized, so for na > 1 the second and
 			// later queries re-read the rows from cache — the row-sharing win
 			// without any per-row selection plumbing, which for narrow rows
 			// costs more than the d-length kernel itself.
@@ -555,7 +598,7 @@ func (idx *Index) evalSegments(bs *batchScratch, pi, ps, nseg int, knnMode bool,
 
 // evalInterval runs one query's tight loop over an elementary interval's
 // contiguous block rows — the same kernel, bound refresh and accumulation as
-// the solo visit loops, so results are bit-identical to per-query execution.
+// the tree-cursor visit callbacks, so results are bit-identical to them.
 // rids is the interval's record-id slice; e0 is the interval's first row
 // inside the partition block, j the tile row of the query.
 //
@@ -639,7 +682,7 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 		base := float64(pi) * idx.c
 		nseg := 0
 		for j := 0; j < nq; j++ {
-			si := pi*batchTile + j
+			si := pi*bs.nq + j
 			dist := bs.dist[si]
 			lo := dist - r
 			if lo < 0 {
@@ -653,7 +696,7 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 				continue
 			}
 			a := idx.searchKeys(keys, base+lo, false)
-			b := idx.searchKeys(keys, base+hi, true)
+			b := a + idx.searchKeys(keys[a:], base+hi, true)
 			nseg = bs.addSeg(nseg, a, b, j)
 		}
 		if nseg == 0 {
@@ -667,7 +710,7 @@ func (idx *Index) rangeTile(bs *batchScratch, queries [][]float64, r float64, ou
 			out[j] = nil
 			continue
 		}
-		// Same materialization as rangeInto: sort by (squared distance, ID)
+		// Sort by (squared distance, ID)
 		// — a strict total order, so any accumulation order yields the same
 		// sorted result — then one allocation and a sqrt per neighbor.
 		index.SortNeighbors(buf)

@@ -9,27 +9,28 @@ import (
 	"mmdr/internal/pool"
 )
 
-// Fused quantized batch search: the tile machinery of fused.go — lockstep
-// radius schedule, elementary-interval decomposition, one pass over each
+// Quantized tile search: the tile machinery of fused.go — lockstep radius
+// schedule, elementary-interval decomposition, one pass over each
 // partition's storage per tile — applied to the quantized scan path. Each
 // code row is loaded once per tile and evaluated against every query active
 // in its interval (m table loads per pair), feeding the per-query estimate
 // reservoirs; when a query's budget-th estimate falls inside its sphere or
 // its scan quota is spent the query finishes, and its surviving candidates
-// are re-ranked exactly.
+// are re-ranked exactly. KNNQuantized runs a tile of one, which takes the
+// query-outer loop of evalSegmentsQuant.
 //
-// Equivalence with the solo quantized path follows the same argument as the
-// exact fused path: per query, rows arrive in ascending global position —
-// the solo visit order — with the same lazily built table and the same
+// A query's answer does not depend on the tile it shares, by the same
+// argument as the exact tile search: per query, rows arrive in ascending
+// global position with the same lazily built table and the same
 // bound-guarded early abandoning, so the estimate reservoirs, the candidate
-// sets and the re-ranked answers are bit-identical to a sequential
-// KNNQuantized loop at every worker count and tile shape.
+// sets and the re-ranked answers are bit-identical at every worker count
+// and tile shape.
 
-// ensureQuant sizes the quantized tile state (estimate reservoirs sized by
-// Reset, the ADC table tile, build flags) for the index's current
-// partitions and codebooks. Called by the quantized batch path after the
-// shared ensure().
-func (bs *batchScratch) ensureQuant() {
+// ensureQuant lays out the quantized state of a tile of nq queries for the
+// index's current partitions and codebooks: the ADC table arena, with
+// partition pi's nq tables at qtabOff[pi] so a tile of one packs its tables
+// back to back, and cleared build flags.
+func (bs *batchScratch) ensureQuant(nq int) {
 	idx := bs.idx
 	nP := len(idx.parts)
 	if cap(bs.qtabOff) < nP+1 {
@@ -41,7 +42,7 @@ func (bs *batchScratch) ensureQuant() {
 	for pi := 0; pi < nP; pi++ {
 		bs.qtabOff[pi] = off
 		if set != nil && pi < len(set.Books) && set.Books[pi] != nil {
-			off += set.Books[pi].TableLen() * batchTile
+			off += set.Books[pi].TableLen() * nq
 		}
 	}
 	bs.qtabOff[nP] = off
@@ -49,11 +50,12 @@ func (bs *batchScratch) ensureQuant() {
 		bs.qtab = make([]float64, off)
 	}
 	bs.qtab = bs.qtab[:off]
-	need := nP * batchTile
+	need := nP * nq
 	if cap(bs.qbuilt) < need {
 		bs.qbuilt = make([]bool, need)
 	}
 	bs.qbuilt = bs.qbuilt[:need]
+	clear(bs.qbuilt)
 	if bs.qrows == nil {
 		bs.qrows = make([]int, batchTile)
 	}
@@ -63,7 +65,7 @@ func (bs *batchScratch) ensureQuant() {
 // most workers goroutines (workers <= 0 selects runtime.NumCPU()). Same
 // quantizer contract as KNNQuantized, including the transparent exact
 // fallback while the layout is dropped; results are bit-identical to a
-// sequential KNNQuantized loop at every worker count.
+// KNNQuantized loop at every worker count.
 //
 //mmdr:hotpath budget pinned by alloc_test: 2 + one result slice per query
 func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int) ([][]index.Neighbor, error) {
@@ -85,7 +87,6 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
 		bs := idx.getBatchScratch()
 		defer idx.putBatchScratch(bs)
-		bs.ensureQuant()
 		for t := lo; t < hi; t += batchTile {
 			te := t + batchTile
 			if te > hi {
@@ -115,19 +116,18 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 //mmdr:hotpath fused quantized tile; allocates only the per-query results
 func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int, out [][]index.Neighbor) {
 	nq := len(queries)
-	// Same reservoir clamp as the solo path: budget >= n never fills the
-	// buffer, preserving the bitwise-exact degenerate point.
+	// Clamp the reservoir's compaction target to the row count: a
+	// budget >= n reservoir then never fills, its bound stays +Inf, and
+	// every scanned row is kept — the bitwise-exact degenerate point.
 	resK := budget
 	if nRows := idx.layout.partStart[len(idx.parts)]; resK > nRows {
 		resK = nRows
 	}
+	bs.ensureQuant(nq)
 	for j := 0; j < nq; j++ {
 		bs.ests[j].Reset(resK)
 		bs.done[j] = false
 		bs.qrows[j] = 0
-	}
-	for i := range bs.qbuilt {
-		bs.qbuilt[i] = false
 	}
 	idx.primeTile(bs, queries)
 
@@ -144,11 +144,11 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 		for pi := range idx.parts {
 			idx.fusedScanQuant(bs, pi, nq, r, quota)
 		}
-		// Same round-boundary stop disjunction as the solo path: exactness
-		// proof, spent scan quota, or partitions exhausted. The per-round row
-		// counts match knnQuantizedInto's exactly (identical annuli), so the
-		// quota cuts the scan at the same round — the scanned sets, and hence
-		// the answers, stay bitwise solo-identical.
+		// Stop when the budget-th ESTIMATE is within the sphere (every row
+		// whose estimate could displace a kept candidate has been seen), the
+		// scan quota is spent, or nothing remains to scan. Larger budgets
+		// scan strictly more rows under both rules — the recall knob — and
+		// an unbounded budget degenerates to the full scan.
 		finished := true
 		for j := 0; j < nq; j++ {
 			if bs.done[j] {
@@ -170,8 +170,10 @@ func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int
 	}
 
 	// Exact re-rank, per query, over its surviving candidates — the same
-	// kernels and bound discipline as the solo rerank, with the query-side
-	// vectors read from the projection tile (bitwise the solo projections).
+	// kernels and bound discipline as the exact search, with the query-side
+	// vectors read from the projection tile. cands holds global layout
+	// positions; the partition count is tiny, so a linear walk over the
+	// span starts beats binary search bookkeeping.
 	lay := idx.layout
 	for j := 0; j < nq; j++ {
 		top := bs.tops[j]
@@ -222,10 +224,9 @@ func (idx *Index) fusedScanQuant(bs *batchScratch, pi, nq int, r float64, quota 
 
 	nseg := 0
 	for j := 0; j < nq; j++ {
-		si := pi*batchTile + j
-		// The quota check mirrors the solo path's partition-boundary cut:
-		// qrows[j] holds the same cumulative count at the same partition
-		// walk position, so both paths stop the scan at the same row.
+		si := pi*bs.nq + j
+		// Partition-boundary quota cut: bounds the quota overshoot to one
+		// partition's annulus increment instead of a whole round's.
 		if bs.done[j] || bs.exhausted[si] || bs.qrows[j] >= quota {
 			continue
 		}
@@ -295,16 +296,19 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 	tile := bs.projBuf[bs.projOff[pi]:]
 
 	// Lazily build the ADC tables of the queries contributing segments —
-	// once per (query, partition) per tile search, like the solo path's
-	// first-scan build.
+	// once per (query, partition) per tile search, so partitions the sphere
+	// never reaches cost nothing.
+	var tab []float64
+	var m, kc, tl int
 	if codes != nil {
 		cb := idx.quant.Books[pi]
-		tl := cb.TableLen()
+		m, kc, tl = cb.M, cb.K, cb.TableLen()
+		tab = bs.qtab[bs.qtabOff[pi]:]
 		for s := 0; s < nseg; s++ {
 			j := int(bs.segQ[s])
-			bi := pi*batchTile + j
+			bi := pi*bs.nq + j
 			if !bs.qbuilt[bi] {
-				cb.ADCTableInto(tile[j*d:(j+1)*d], bs.qtab[bs.qtabOff[pi]+j*tl:bs.qtabOff[pi]+(j+1)*tl])
+				cb.ADCTableInto(tile[j*d:(j+1)*d], tab[j*tl:(j+1)*tl])
 				bs.qbuilt[bi] = true
 			}
 		}
@@ -341,15 +345,18 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 			}
 		}
 		act := bs.act[:na]
-		if codes != nil {
+		if codes != nil && na == 1 {
+			// One active query (always, in a tile of one): a tight loop in
+			// its own small function, so the table slice and the reservoir
+			// bound stay in registers instead of being spilled around every
+			// ADC call of this large function.
+			j := int(act[0])
+			adcInterval(bs.ests[j], tab[j*tl:(j+1)*tl], kc, codes[e0*m:e1*m], m, ps+e0)
+		} else if codes != nil {
 			// Row-outer: one code row serves every active query — the
 			// row-sharing win of the fused pass at code granularity. Bounds
-			// are cached per query and refreshed only after an accepted Add
-			// (the reservoir bound moves only on compaction, and Add
-			// re-checks, so the reservoir evolution is unchanged).
-			cb := idx.quant.Books[pi]
-			m, kc, tl := cb.M, cb.K, cb.TableLen()
-			tab := bs.qtab[bs.qtabOff[pi]:]
+			// are cached per query and refreshed only after an accepted Add,
+			// as in adcInterval.
 			for a := 0; a < na; a++ {
 				bs.bounds[a] = bs.ests[int(act[a])].Kth()
 			}
@@ -393,5 +400,23 @@ func (idx *Index) evalSegmentsQuant(bs *batchScratch, pi, ps, nseg int) {
 		idx.counter.CountDistanceOps(distOps)
 		idx.counter.CountPageReads(pages)
 		idx.counter.CountNodeAccesses(pages)
+	}
+}
+
+// adcInterval adds the ADC estimates of consecutive code rows (m bytes
+// each, the first at global layout position gp) to one query's reservoir.
+// The bound moves only on compaction, so refreshing it after an accepted
+// Add keeps the ADC early-abandon as tight as it gets while rejected rows
+// skip the call entirely.
+//
+//mmdr:hotpath
+func adcInterval(est *quantReservoir, table []float64, kc int, codes []byte, m, gp int) {
+	kth := est.Kth()
+	for off := 0; off+m <= len(codes); off += m {
+		if s := matrix.ADCSumBound(table, kc, codes[off:off+m:off+m], kth); s < kth {
+			est.Add(gp, s)
+			kth = est.Kth()
+		}
+		gp++
 	}
 }

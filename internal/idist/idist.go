@@ -85,9 +85,9 @@ type Index struct {
 	slotOf []int32
 
 	// layout is the SoA mirror of the tree's leaf level (see layout.go):
-	// non-nil when materialized, nil after a structural mutation. Scans
-	// dispatch on it — block runs when present, per-entry tree visits
-	// otherwise — with bitwise-identical answers either way.
+	// non-nil when materialized, nil after a structural mutation. Queries
+	// dispatch on it — the tile engine of fused.go when present, per-entry
+	// tree visits otherwise — with bitwise-identical answers either way.
 	layout *soaLayout
 
 	// quant is the attached product-quantizer set (nil = exact-only index).
@@ -95,16 +95,12 @@ type Index struct {
 	// quantized query paths require both quant and layout to be present.
 	quant *quant.Set
 
-	// quantPool recycles quantScratch values (ADC tables, estimate heaps) so
-	// quantized queries allocate only their result slices.
-	quantPool sync.Pool
-
-	// scratchPool recycles queryScratch values so KNN/Range allocate only
-	// their returned neighbor slices.
+	// scratchPool recycles queryScratch values so tree-cursor KNN/Range
+	// allocate only their returned neighbor slices.
 	scratchPool sync.Pool
 
-	// batchPool recycles batchScratch values (fused tile state) so batch
-	// queries allocate only their result slices.
+	// batchPool recycles batchScratch values (tile state) so every layout
+	// query, solo or batched, allocates only its result slices.
 	batchPool sync.Pool
 
 	// Insert scratch. Insert mutates the tree and is not concurrency-safe,
@@ -313,14 +309,20 @@ func (idx *Index) Tree() *btree.Tree { return idx.tree }
 func (idx *Index) C() float64 { return idx.c }
 
 // queryState tracks, per partition, the query's projection, its distance to
-// the reference point, and the key annulus already scanned.
+// the reference point, and the key annulus already scanned — with the
+// candidates and leaves the scans of that annulus visited, for the explain.
 type queryState struct {
 	proj      []float64 // reduced coords (subspaces) or nil (outliers)
 	dist      float64   // dist(q_i, O_i) in the partition metric
 	scanLo    float64   // already-scanned annulus [scanLo, scanHi]
 	scanHi    float64
 	exhausted bool
+	cand      int // candidates evaluated (tree-cursor path)
+	leaves    int // leaves visited, summed over scans (tree-cursor path)
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // KNN implements index.KNNIndex: the iterative radius-enlargement search,
 // run to completion (exact over the reduced representation).
@@ -391,31 +393,82 @@ type QueryTrace struct {
 }
 
 // KNNTrace runs an exact KNN search and additionally returns the structured
-// explain of the work performed.
+// explain of the work performed. The explain is read off the search state
+// after the search finishes, so tracing adds no work to the scan loops.
 func (idx *Index) KNNTrace(q []float64, k int) ([]index.Neighbor, *QueryTrace) {
 	tr := &QueryTrace{K: k}
-	nb := idx.knn(q, k, 0, tr)
-	return nb, tr
+	return idx.knn(q, k, 0, tr), tr
 }
 
+// knn runs one KNN query as a tile of one over the layout, or through the
+// tree cursors while the layout is dropped; a non-nil tr receives the
+// explain.
+//
 //mmdr:hotpath
 func (idx *Index) knn(q []float64, k, maxRounds int, tr *QueryTrace) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
-	return idx.knnInto(sc, q, k, maxRounds, tr)
+	if idx.layout == nil {
+		sc := idx.getScratch()
+		defer idx.putScratch(sc)
+		out := idx.knnInto(sc, q, k, maxRounds)
+		if tr != nil {
+			idx.cursorTrace(sc, tr)
+		}
+		return out
+	}
+	bs := idx.getBatchScratch()
+	defer idx.putBatchScratch(bs)
+	qs := [1][]float64{q}
+	var out [1][]index.Neighbor
+	idx.knnTile(bs, qs[:], k, maxRounds, out[:])
+	if tr != nil {
+		idx.tileTrace(bs, 0, tr)
+	}
+	return out[0]
 }
 
-// knnInto runs the radius-enlargement search using sc's buffers. All
-// candidate bookkeeping is done in SQUARED distance — sqrt is monotone, so
-// the k-th squared distance selects exactly the same neighbor set — and the
-// single sqrt per result happens when materializing the returned slice,
-// which is the only allocation of the search.
+// setProbe records partition pi's entry of an explain from its final search
+// state: the reference distance, the scanned annulus [scanLo, scanHi]
+// (empty when scanLo > scanHi), exhaustion, and the candidates and leaves
+// its scans visited.
+func (idx *Index) setProbe(tr *QueryTrace, pi int, dist, scanLo, scanHi float64, exhausted bool, cand, leaves int) {
+	pr := PartitionProbe{ID: pi, Dim: idx.ds.Dim, Outlier: true, DistToRef: dist, ScanLo: 0, ScanHi: -1}
+	if s := idx.parts[pi].sub; s != nil {
+		pr.Dim, pr.Outlier = s.Dr, false
+	}
+	if scanLo <= scanHi {
+		pr.ScanLo, pr.ScanHi = scanLo, scanHi
+		pr.Exhausted = exhausted
+		pr.Candidates = cand
+	}
+	tr.Partitions[pi] = pr
+	tr.Candidates += pr.Candidates
+	tr.LeavesScanned += leaves
+}
+
+// cursorTrace fills tr with the explain of the tree-cursor search knnInto
+// just ran on sc.
+func (idx *Index) cursorTrace(sc *queryScratch, tr *QueryTrace) {
+	tr.Rounds, tr.FinalRadius = sc.rounds, sc.radius
+	tr.Partitions = make([]PartitionProbe, len(idx.parts))
+	for pi := range idx.parts {
+		st := &sc.states[pi]
+		idx.setProbe(tr, pi, st.dist, st.scanLo, st.scanHi, st.exhausted, st.cand, st.leaves)
+	}
+}
+
+// knnInto runs the radius-enlargement search through the tree cursors,
+// using sc's buffers — the path of an index whose layout a dynamic
+// Insert/Delete dropped. All candidate bookkeeping is done in SQUARED
+// distance — sqrt is monotone, so the k-th squared distance selects exactly
+// the same neighbor set — and the single sqrt per result happens when
+// materializing the returned slice, which is the only allocation of the
+// search.
 //
-//mmdr:hotpath the trace branches only run under KNNTrace, off the budget
-func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *QueryTrace) []index.Neighbor {
+//mmdr:hotpath
+func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int) []index.Neighbor {
 	if k <= 0 {
 		return nil
 	}
@@ -432,28 +485,15 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 			st.dist = matrix.Dist(q, p.centroid)
 		}
 		st.scanLo, st.scanHi = math.Inf(1), math.Inf(-1) // nothing scanned
-		st.exhausted = false
-	}
-	if tr != nil {
-		tr.Partitions = make([]PartitionProbe, len(idx.parts))
-		for pi := range idx.parts {
-			p := &idx.parts[pi]
-			pr := &tr.Partitions[pi]
-			pr.ID = pi
-			pr.DistToRef = states[pi].dist
-			if p.sub != nil {
-				pr.Dim = p.sub.Dr
-			} else {
-				pr.Dim = idx.ds.Dim
-				pr.Outlier = true
-			}
-		}
+		// A non-finite reference distance is never reachable (see
+		// primeTile).
+		st.exhausted = !finite(st.dist)
+		st.cand, st.leaves = 0, 0
 	}
 
 	r := idx.deltaR
-	rounds := 0
-	for round := 1; ; round++ {
-		rounds = round
+	round := 1
+	for ; ; round++ {
 		allDone := true
 		for pi := range idx.parts {
 			p := &idx.parts[pi]
@@ -483,15 +523,15 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 			// on a previous edge are visited exactly once.
 			base := float64(pi) * idx.c
 			if st.scanLo > st.scanHi {
-				idx.scanRange(sc, pi, base+lo, base+hi, false, false, tr)
+				idx.scanRange(sc, pi, base+lo, base+hi, false, false)
 				st.scanLo, st.scanHi = lo, hi
 			} else {
 				if lo < st.scanLo {
-					idx.scanRange(sc, pi, base+lo, base+st.scanLo, false, true, tr)
+					idx.scanRange(sc, pi, base+lo, base+st.scanLo, false, true)
 					st.scanLo = lo
 				}
 				if hi > st.scanHi {
-					idx.scanRange(sc, pi, base+st.scanHi, base+hi, true, false, tr)
+					idx.scanRange(sc, pi, base+st.scanHi, base+hi, true, false)
 					st.scanHi = hi
 				}
 			}
@@ -515,20 +555,7 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 		}
 		r += idx.deltaR
 	}
-	if tr != nil {
-		tr.Rounds = rounds
-		tr.FinalRadius = r
-		for pi := range idx.parts {
-			st := &states[pi]
-			pr := &tr.Partitions[pi]
-			if st.scanLo > st.scanHi {
-				pr.ScanLo, pr.ScanHi = 0, -1 // never reached
-			} else {
-				pr.ScanLo, pr.ScanHi = st.scanLo, st.scanHi
-			}
-			pr.Exhausted = st.exhausted
-		}
-	}
+	sc.rounds, sc.radius = round, r
 	out := sc.top.Sorted()
 	for i := range out {
 		out[i].Dist = math.Sqrt(out[i].Dist)
@@ -543,25 +570,9 @@ func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int, tr *Q
 // for outliers.
 //
 //mmdr:hotpath
-func (idx *Index) scanRange(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool, tr *QueryTrace) {
+func (idx *Index) scanRange(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool) {
 	sc.beginScan(pi)
-	sc.cand = 0
-	var leaves int
-	if idx.layout != nil {
-		// SoA fast path: two binary searches over the partition's key span
-		// convert the annulus edges to a contiguous row interval, and the
-		// candidate vectors stream straight from the row-major block — no
-		// tree descent at all. Key compares charge the search probes, pages
-		// charge each spanned leaf once (see scanBlockKNN).
-		leaves = idx.scanBlockKNN(sc, pi, lo, hi, exLo, exHi)
-	} else {
-		leaves = idx.tree.RangeBetween(lo, hi, exLo, exHi, sc.visitKNN)
-	}
-	if tr != nil {
-		tr.Candidates += sc.cand
-		tr.LeavesScanned += leaves
-		tr.Partitions[pi].Candidates += sc.cand
-	}
+	sc.st.leaves += idx.tree.RangeBetween(lo, hi, exLo, exHi, sc.visitKNN)
 }
 
 // Stats describes the index structure for monitoring and diagnostics.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mmdr/internal/core"
 	"mmdr/internal/datagen"
@@ -181,6 +182,40 @@ func TestKNNQueryFarOutsideAllPartitions(t *testing.T) {
 			t.Fatalf("far query rank %d: %v vs %v", i, res[i].Dist, want[i].Dist)
 		}
 	}
+}
+
+// TestOverflowingQueryReturns: a coordinate of 1e160 is finite, but its
+// square overflows, so every partition's reference distance is +Inf. No
+// finite radius reaches such a partition; the searches must treat it as
+// never reachable and return, on the layout and on the tree-cursor path.
+func TestOverflowingQueryReturns(t *testing.T) {
+	idx, _ := quantFixture(t, 900, 97)
+	q := append([]float64(nil), idx.ds.Point(0)...)
+	q[0] = 1e160
+	run := func(label string) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			idx.KNN(q, 10)
+			idx.KNNApprox(q, 10, 3)
+			idx.KNNTrace(q, 10)
+			idx.BatchKNN([][]float64{q, idx.ds.Point(1)}, 10, 1)
+			idx.Range(q, 0.5)
+			idx.KNNQuantized(q, 10, 80)                                       //nolint:errcheck — only termination is under test
+			idx.BatchKNNQuantized([][]float64{q, idx.ds.Point(1)}, 10, 80, 1) //nolint:errcheck
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: overflowing query still running after 10s", label)
+		}
+	}
+	run("layout")
+	if _, err := idx.Insert(idx.ds.Point(2)); err != nil {
+		t.Fatal(err)
+	}
+	run("tree cursor")
 }
 
 func TestKNNWithForcedLowDim(t *testing.T) {

@@ -6,14 +6,16 @@ package idist
 // leaf position. An annulus scan over tree keys then reads one contiguous
 // block span instead of pointer-chasing a stored vector per entry — the
 // partition-contiguous clustered layout the scan-speed literature argues
-// for — and a batched scan can serve a whole query tile from one pass over
-// the span.
+// for — and one pass over the span serves a whole query tile. The tile
+// engine of fused.go is the only search that reads the layout; solo
+// queries are tiles of one.
 //
 // The layout is a derived cache: the tree stays authoritative, and any
 // structural mutation (Insert, Delete) invalidates the layout, dropping
-// every query path back to the per-entry tree scan until RebuildLayout (or
-// a fresh Build) re-materializes it. Both paths return bitwise-identical
-// answers; the layout only changes the memory access pattern.
+// every query to the tree-cursor search (knnInto, rangeInto) until
+// RebuildLayout (or a fresh Build) re-materializes it. Both paths return
+// bitwise-identical answers; the layout only changes the memory access
+// pattern.
 type soaLayout struct {
 	// Global leaf-order arrays, parallel: entry p of the scan order has key
 	// keys[p], record rids[p], and lives in leaf leafOf[p].

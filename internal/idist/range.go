@@ -16,21 +16,39 @@ import (
 //
 //mmdr:hotpath budget pinned by alloc_test: 1 alloc non-empty, 0 empty
 func (idx *Index) Range(q []float64, r float64) []index.Neighbor {
-	sc := idx.getScratch()
-	defer idx.putScratch(sc)
 	if idx.ops == nil {
-		return idx.rangeInto(sc, q, r)
+		return idx.rangeOne(q, r)
 	}
 	start := time.Now()
-	out := idx.rangeInto(sc, q, r)
+	out := idx.rangeOne(q, r)
 	idx.ops.rng.Record(time.Since(start))
 	return out
 }
 
-// rangeInto runs the range scan using sc's buffers. Candidates are filtered
-// and accumulated in SQUARED distance (d² ≤ r² selects the same ball as
-// d ≤ r) with the single sqrt per result taken when materializing the
-// returned slice — the only allocation of a non-empty query.
+// rangeOne runs one range query as a tile of one over the layout, or
+// through the tree cursors while the layout is dropped.
+//
+//mmdr:hotpath
+func (idx *Index) rangeOne(q []float64, r float64) []index.Neighbor {
+	if idx.layout == nil {
+		sc := idx.getScratch()
+		defer idx.putScratch(sc)
+		return idx.rangeInto(sc, q, r)
+	}
+	bs := idx.getBatchScratch()
+	defer idx.putBatchScratch(bs)
+	qs := [1][]float64{q}
+	var out [1][]index.Neighbor
+	idx.rangeTile(bs, qs[:], r, out[:])
+	return out[0]
+}
+
+// rangeInto runs the range scan through the tree cursors using sc's
+// buffers — the path of an index whose layout a dynamic Insert/Delete
+// dropped. Candidates are filtered and accumulated in SQUARED distance
+// (d² ≤ r² selects the same ball as d ≤ r) with the single sqrt per result
+// taken when materializing the returned slice — the only allocation of a
+// non-empty query.
 //
 //mmdr:hotpath
 func (idx *Index) rangeInto(sc *queryScratch, q []float64, r float64) []index.Neighbor {
@@ -60,11 +78,7 @@ func (idx *Index) rangeInto(sc *queryScratch, q []float64, r float64) []index.Ne
 		}
 		base := float64(pi) * idx.c
 		sc.beginScan(pi)
-		if idx.layout != nil {
-			idx.scanBlockRange(sc, pi, base+lo, base+hi, false, false)
-		} else {
-			idx.tree.RangeBetween(base+lo, base+hi, false, false, sc.visitRange)
-		}
+		idx.tree.RangeBetween(base+lo, base+hi, false, false, sc.visitRange)
 	}
 	if len(sc.rangeBuf) == 0 {
 		return nil

@@ -5,11 +5,11 @@ import (
 	"mmdr/internal/matrix"
 )
 
-// queryScratch bundles every per-query buffer the search paths need so a
-// single query allocates nothing beyond its returned neighbor slice. A
-// scratch is owned by one query at a time: single-query calls borrow one
-// from the index's sync.Pool, batch queries hold one per worker for a whole
-// chunk of queries.
+// queryScratch bundles every per-query buffer the tree-cursor search
+// (knnInto, rangeInto) needs so a single query allocates nothing beyond its
+// returned neighbor slice. A scratch is owned by one query at a time:
+// single-query calls borrow one from the index's sync.Pool, batch queries
+// hold one per worker for a whole chunk of queries.
 //
 // The two btree visit callbacks are bound once, when the scratch is created;
 // per-scan parameters travel through scratch fields instead of fresh closure
@@ -25,11 +25,12 @@ type queryScratch struct {
 	q       []float64   // original-space query (outlier partition distances)
 	part    *partition  // partition currently being scanned
 	st      *queryState // its search state
-	pi      int         // partition index (selects the SoA block)
-	x       []float64   // query-side vector of the scan: st.proj or q
 	r2      float64     // Range predicate, squared
-	cand    int         // candidates evaluated by the current scan
 	abandon bool        // vectors long enough for early abandoning to pay off
+
+	// Rounds run and final radius of the last knnInto, for the explain.
+	rounds int
+	radius float64
 
 	visitKNN   func(key float64, rid uint32) bool
 	visitRange func(key float64, rid uint32) bool
@@ -92,14 +93,11 @@ func (sc *queryScratch) ensure() {
 // compare full-dimensional points, and only vectors of at least
 // matrix.EarlyAbandonMinLen amortize the early-abandon bound checks.
 func (sc *queryScratch) beginScan(pi int) {
-	sc.pi = pi
 	sc.part = &sc.idx.parts[pi]
 	sc.st = &sc.states[pi]
 	if sub := sc.part.sub; sub != nil {
-		sc.x = sc.st.proj
 		sc.abandon = sub.Dr >= matrix.EarlyAbandonMinLen
 	} else {
-		sc.x = sc.q
 		sc.abandon = sc.idx.ds.Dim >= matrix.EarlyAbandonMinLen
 	}
 }
@@ -129,7 +127,7 @@ func (sc *queryScratch) knnVisit(_ float64, rid uint32) bool {
 	if idx.counter != nil {
 		idx.counter.CountDistanceOps(1)
 	}
-	sc.cand++
+	sc.st.cand++
 	sc.top.Add(id, dSq)
 	return true
 }

@@ -3,7 +3,10 @@ package idist
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+
+	"mmdr/internal/iostat"
 )
 
 // TestKNNTraceMatchesKNN: tracing must not change the answers.
@@ -123,5 +126,56 @@ func TestKNNTraceJSON(t *testing.T) {
 	}
 	if back.Candidates != tr.Candidates || len(back.Partitions) != len(tr.Partitions) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, tr)
+	}
+}
+
+// TestBatchKNNTraceMatchesKNNTrace: the explain is read off per-query tile
+// state, so a query traced inside a full tile must report exactly what it
+// reports alone — on the layout and on the tree-cursor path.
+func TestBatchKNNTraceMatchesKNNTrace(t *testing.T) {
+	ds, red := testSetup(t, 700, 12, 3, 213)
+	idx, err := Build(ds, red, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := equivQueries(ds, batchTile, 313)
+	check := func(label string) {
+		t.Helper()
+		nbs, traces := idx.BatchKNNTrace(qs, 7, 1)
+		for i, q := range qs {
+			nb, tr := idx.KNNTrace(q, 7)
+			sameNeighbors(t, label, nbs[i], nb)
+			if !reflect.DeepEqual(traces[i], tr) {
+				t.Fatalf("%s query %d: batch trace\n%+v\nsolo trace\n%+v", label, i, traces[i], tr)
+			}
+		}
+	}
+	check("layout")
+	if _, err := idx.Insert(ds.Point(4)); err != nil {
+		t.Fatal(err)
+	}
+	check("tree cursor")
+}
+
+// TestKNNTraceCandidatesMatchDistanceOps: every candidate the explain
+// reports is one distance evaluation the cost counter charged, and the
+// other way round.
+func TestKNNTraceCandidatesMatchDistanceOps(t *testing.T) {
+	ds, red := testSetup(t, 700, 12, 3, 214)
+	var ctr iostat.Counter
+	idx, err := Build(ds, red, Options{Counter: &ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range equivQueries(ds, 6, 414) {
+		before := ctr.Snapshot().DistanceOps
+		_, tr := idx.KNNTrace(q, 9)
+		sum := 0
+		for _, pr := range tr.Partitions {
+			sum += pr.Candidates
+		}
+		if ops := ctr.Snapshot().DistanceOps - before; int64(sum) != ops {
+			t.Fatalf("trace reports %d candidates, counter charged %d distance ops", sum, ops)
+		}
 	}
 }

@@ -176,6 +176,22 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code := postJSON(t, client, base+"/knn", KNNRequest{Q: queries[0][:3], K: 3}, &errResp); code != http.StatusBadRequest {
 		t.Errorf("dimension mismatch status %d, want 400", code)
 	}
+	// A finite coordinate whose square overflows (valid JSON) would make
+	// every distance +Inf; each vector-taking endpoint must refuse it.
+	huge := append([]float64(nil), queries[0]...)
+	huge[0] = 1e160
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/knn", KNNRequest{Q: huge, K: 3}},
+		{"/range", RangeRequest{Q: huge, R: 0.5}},
+		{"/insert", InsertRequest{P: huge}},
+	} {
+		if code := postJSON(t, client, base+c.path, c.req, &errResp); code != http.StatusBadRequest {
+			t.Errorf("%s with a 1e160 coordinate: status %d, want 400", c.path, code)
+		}
+	}
 
 	// Start twice is an error.
 	if _, err := srv.Start("127.0.0.1:0"); err == nil {

@@ -33,6 +33,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,10 +333,20 @@ func (s *Server) submitWrite(req *request) (response, error) {
 	}
 }
 
-// checkDim validates a vector against the live model dimensionality.
-func (s *Server) checkDim(v []float64) error {
+// checkVec validates a vector against the live model dimensionality and
+// rejects non-finite input: a coordinate that is ±Inf or NaN, or one so
+// large that the squared norm overflows (JSON accepts 1e160), would give
+// every distance the index computes the value +Inf or NaN.
+func (s *Server) checkVec(v []float64) error {
 	if d := int(s.dim.Load()); len(v) != d {
 		return fmt.Errorf("serve: vector dimension %d, model wants %d", len(v), d)
+	}
+	var sq float64
+	for _, x := range v {
+		sq += x * x
+	}
+	if math.IsInf(sq, 0) || math.IsNaN(sq) {
+		return fmt.Errorf("serve: vector is not finite (squared norm %g)", sq)
 	}
 	return nil
 }
@@ -345,7 +356,7 @@ func (s *Server) checkDim(v []float64) error {
 // are exactly what the underlying Index.BatchKNN returns.
 func (s *Server) KNN(q []float64, k int) ([]mmdr.Neighbor, error) {
 	start := time.Now()
-	if err := s.checkDim(q); err != nil {
+	if err := s.checkVec(q); err != nil {
 		return nil, err
 	}
 	if k <= 0 {
@@ -367,7 +378,7 @@ func (s *Server) KNN(q []float64, k int) ([]mmdr.Neighbor, error) {
 // Range answers every point within r of q through the serving path.
 func (s *Server) Range(q []float64, r float64) ([]mmdr.Neighbor, error) {
 	start := time.Now()
-	if err := s.checkDim(q); err != nil {
+	if err := s.checkVec(q); err != nil {
 		return nil, err
 	}
 	if r < 0 {
@@ -390,7 +401,7 @@ func (s *Server) Range(q []float64, r float64) ([]mmdr.Neighbor, error) {
 // returns its row id.
 func (s *Server) Insert(p []float64) (int, error) {
 	start := time.Now()
-	if err := s.checkDim(p); err != nil {
+	if err := s.checkVec(p); err != nil {
 		return 0, err
 	}
 	req := &request{kind: opInsert, q: p, done: make(chan response, 1)}
