@@ -63,7 +63,8 @@ gate:
 # analyzer suite, the full test suite, a short-mode pass of the race gate's
 # serving scenarios, and a short fuzz smoke of the query-equivalence
 # targets (each holds EXACT equality between the kernelized tree paths and
-# the sequential-scan oracle).
+# the sequential-scan oracle) and of the write-history target (after every
+# Insert/Delete the maintained scan layout equals a fresh rebuild).
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/mmdrlint ./...
@@ -73,6 +74,7 @@ check: fmt-check
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzKNNvsSeqScan -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzRangeVsSeqScan -fuzztime 10s
 	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzBatchKNNvsKNN -fuzztime 10s
+	$(GO) test ./internal/idist/ -run '^$$' -fuzz FuzzWriteHistory -fuzztime 10s
 
 # Regenerate BENCH_parallel.json: serial vs parallel build time, sequential
 # vs fused-batch query throughput, and the worker sweep {1,2,4,8} at paper

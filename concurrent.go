@@ -60,14 +60,5 @@ func (c *ConcurrentIndex) Delete(id int) (bool, error) {
 	return c.idx.Delete(id)
 }
 
-// RebuildLayout re-materializes the blocked vector layout after Insert or
-// Delete churn (see Index.RebuildLayout). Takes the write lock: the rebuild
-// mutates the derived cache that concurrent readers scan.
-func (c *ConcurrentIndex) RebuildLayout() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.idx.RebuildLayout()
-}
-
 // Name identifies the underlying scheme.
 func (c *ConcurrentIndex) Name() string { return c.idx.Name() }

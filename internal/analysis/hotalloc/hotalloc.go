@@ -83,7 +83,7 @@ func checkHotFunc(pass *framework.Pass, fn *ast.FuncDecl) {
 			}
 		case *ast.FuncLit:
 			if !exemptLits[x] && !immediatelyInvoked(fn.Body, x) {
-				pass.Reportf(x.Pos(), "closure may escape and allocate in hot path; bind it once outside (see queryScratch's visit callbacks)")
+				pass.Reportf(x.Pos(), "closure may escape and allocate in hot path; bind it once outside the hot path")
 			}
 		case *ast.GoStmt:
 			pass.Reportf(x.Pos(), "go statement allocates in hot path; fan out through pool.Run/pool.Chunks at the batch boundary")

@@ -1,12 +1,12 @@
 // Package scratchleak verifies the borrow discipline of sync.Pool-backed
 // scratch buffers, path-sensitively, using the cfg+flow layers. The
 // repository's query paths stay allocation-free by borrowing a
-// queryScratch from a sync.Pool (idist.getScratch / idist.putScratch);
-// the discipline that makes that safe is:
+// batchScratch from a sync.Pool (idist.getBatchScratch /
+// idist.putBatchScratch); the discipline that makes that safe is:
 //
 //   - Every borrow is returned: a value acquired from a pool (directly
 //     via (*sync.Pool).Get, or through an acquirer helper like
-//     getScratch) must reach a matching Put — executed directly or
+//     getBatchScratch) must reach a matching Put — executed directly or
 //     registered with defer — on every non-panicking path to a return.
 //     Paths that panic are exempt: the CFG routes them to its Panic
 //     block, never to Exit, so a leak on a dying path is not demanded.
@@ -26,8 +26,9 @@
 // transfers to its caller, so acquirers are exempt from the must-Put and
 // return-escape rules. A releaser passes one of its parameters to
 // Pool.Put; calling it counts as a Put of the argument. This is what
-// lets the analyzer see `sc := idx.getScratch(); defer idx.putScratch(sc)`
-// for the Get/Put pair it is.
+// lets the analyzer see
+// `bs := idx.getBatchScratch(); defer idx.putBatchScratch(bs)` for the
+// Get/Put pair it is.
 package scratchleak
 
 import (
@@ -173,7 +174,7 @@ func (c *checker) returnsAcquired(body *ast.BlockStmt) bool {
 }
 
 // acquireTarget returns the variable an assignment acquires into, or nil:
-// `sc := pool.Get().(*T)`, `sc, ok := pool.Get().(*T)`, `sc := getScratch()`.
+// `sc := pool.Get().(*T)`, `sc, ok := pool.Get().(*T)`, `bs := getBatchScratch()`.
 func (c *checker) acquireTarget(as *ast.AssignStmt) types.Object {
 	if len(as.Rhs) != 1 || !c.isAcquireExpr(as.Rhs[0]) {
 		return nil
@@ -384,7 +385,7 @@ func (c *checker) checkNode(n ast.Node, before flow.Set, tracked map[types.Objec
 	}
 
 	// Idents that are not "uses": the arguments of a release call, and the
-	// target of a (re)acquire assignment — `sc = getScratch()` after a Put
+	// target of a (re)acquire assignment — `bs = getBatchScratch()` after a Put
 	// revives the variable rather than touching the returned buffer.
 	releaseArgs := map[*ast.Ident]bool{}
 	walkShallow(n, func(m ast.Node) {

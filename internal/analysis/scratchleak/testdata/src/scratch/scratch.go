@@ -12,16 +12,16 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// getScratch is the acquirer helper: it returns the borrow to its caller,
+// getBuf is the acquirer helper: it returns the borrow to its caller,
 // so ownership transfer is its job, not a leak.
-func getScratch() *scratch {
+func getBuf() *scratch {
 	sc := scratchPool.Get().(*scratch)
 	sc.n = 0
 	return sc
 }
 
-// putScratch is the releaser helper: calling it counts as a Put.
-func putScratch(sc *scratch) {
+// putBuf is the releaser helper: calling it counts as a Put.
+func putBuf(sc *scratch) {
 	sc.buf = sc.buf[:0]
 	scratchPool.Put(sc)
 }
@@ -29,14 +29,14 @@ func putScratch(sc *scratch) {
 // wrapScratch returns another acquirer's result — itself an acquirer
 // (classification iterates to a fixpoint).
 func wrapScratch() *scratch {
-	sc := getScratch()
+	sc := getBuf()
 	return sc
 }
 
 // DeferIdiom is the repository's standard shape — fine.
 func DeferIdiom(q []float64) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	sc.buf = append(sc.buf, q...)
 	return sc.buf[0]
 }
@@ -50,37 +50,37 @@ func DirectPut() {
 
 // EarlyReturnLeak skips the Put when cond is true.
 func EarlyReturnLeak(cond bool) {
-	sc := getScratch() // want `sc is borrowed from the pool but not returned by Put on every non-panicking path`
+	sc := getBuf() // want `sc is borrowed from the pool but not returned by Put on every non-panicking path`
 	if cond {
 		return
 	}
-	putScratch(sc)
+	putBuf(sc)
 }
 
 // NeverPut leaks on every path.
 func NeverPut() int {
-	sc := getScratch() // want `sc is borrowed from the pool but not returned by Put on every non-panicking path`
+	sc := getBuf() // want `sc is borrowed from the pool but not returned by Put on every non-panicking path`
 	return sc.n
 }
 
 // UseAfterPut touches the scratch after handing it back.
 func UseAfterPut() int {
-	sc := getScratch()
-	putScratch(sc)
+	sc := getBuf()
+	putBuf(sc)
 	return sc.n // want `sc is used after being returned to the pool`
 }
 
 // DoublePut returns the same borrow twice.
 func DoublePut() {
-	sc := getScratch()
-	putScratch(sc)
-	putScratch(sc) // want `sc is returned to the pool twice`
+	sc := getBuf()
+	putBuf(sc)
+	putBuf(sc) // want `sc is returned to the pool twice`
 }
 
 // DeferKeepsUsable: a deferred Put discharges the obligation but the
 // scratch stays usable until return — fine.
 func DeferKeepsUsable() int {
-	sc := getScratch()
+	sc := getBuf()
 	defer scratchPool.Put(sc)
 	sc.n = 7
 	return sc.n
@@ -89,35 +89,35 @@ func DeferKeepsUsable() int {
 // DeferredClosureRelease releases through a deferred literal — fine, and
 // the literal's capture of sc is the sanctioned cleanup shape.
 func DeferredClosureRelease() {
-	sc := getScratch()
+	sc := getBuf()
 	defer func() {
-		putScratch(sc)
+		putBuf(sc)
 	}()
 	sc.n++
 }
 
 // PanicPathExempt: the dying path owes no Put.
 func PanicPathExempt(cond bool) {
-	sc := getScratch()
+	sc := getBuf()
 	if cond {
 		panic("corrupt index")
 	}
-	putScratch(sc)
+	putBuf(sc)
 }
 
 // EscapeDerivedReturn leaks an alias into the caller while the pool gets
 // the scratch back.
 func EscapeDerivedReturn(q []float64) []float64 {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	sc.buf = append(sc.buf[:0], q...)
 	return sc.buf // want `pointer derived from pooled sc escapes via return`
 }
 
 // CopiedScalarReturn returns a value copied out of the scratch — fine.
 func CopiedScalarReturn() int {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	return sc.n
 }
 
@@ -128,15 +128,15 @@ type registry struct {
 
 // EscapeFieldStore parks a pooled pointer in a longer-lived struct.
 func EscapeFieldStore(r *registry) {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	r.sc = sc // want `pooled sc is stored outside the function's frame while borrowed`
 }
 
 // EscapeDerivedFieldStore parks a derived slice.
 func EscapeDerivedFieldStore(r *registry) {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	r.buf = sc.buf // want `pooled sc is stored outside the function's frame while borrowed`
 }
 
@@ -144,8 +144,8 @@ var parkedGlobal *scratch
 
 // EscapeGlobal stores the borrow into a package-level variable.
 func EscapeGlobal() {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	parkedGlobal = sc // want `pooled sc is stored outside the function's frame while borrowed`
 }
 
@@ -169,8 +169,8 @@ func SelfStoreOK() int {
 
 // LocalAliasOK: an alias confined to the frame is fine.
 func LocalAliasOK() float64 {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	sc.buf = append(sc.buf[:0], 1, 2, 3)
 	b := sc.buf
 	return b[0]
@@ -178,15 +178,15 @@ func LocalAliasOK() float64 {
 
 // EscapeChanSend hands the borrow to another goroutine.
 func EscapeChanSend(ch chan *scratch) {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	ch <- sc // want `pooled sc escapes via channel send`
 }
 
 // ClosureCapture lets a goroutine outlive the borrow.
 func ClosureCapture() {
-	sc := getScratch()
-	defer putScratch(sc)
+	sc := getBuf()
+	defer putBuf(sc)
 	go func() {
 		_ = sc.buf // want `pooled sc is captured by a function literal that may outlive the borrow`
 	}()
@@ -195,18 +195,18 @@ func ClosureCapture() {
 // Reacquire: a fresh borrow into the same variable after a Put revives
 // it — fine.
 func Reacquire() {
-	sc := getScratch()
-	putScratch(sc)
-	sc = getScratch()
+	sc := getBuf()
+	putBuf(sc)
+	sc = getBuf()
 	sc.n++
-	putScratch(sc)
+	putBuf(sc)
 }
 
 // Parked intentionally transfers ownership to the registry; both the leak
 // and the store are visible, justified deviations.
 func Parked(r *registry) {
 	//mmdr:ignore scratchleak ownership transfers to the registry, flushed by its owner
-	sc := getScratch()
+	sc := getBuf()
 	//mmdr:ignore scratchleak parked in the registry until flush
 	r.sc = sc
 }
@@ -215,8 +215,8 @@ func Parked(r *registry) {
 // edge.
 func LoopBorrow(n int) {
 	for i := 0; i < n; i++ {
-		sc := getScratch()
+		sc := getBuf()
 		sc.n = i
-		putScratch(sc)
+		putBuf(sc)
 	}
 }

@@ -8,23 +8,20 @@ import (
 )
 
 // Batch queries fan a workload of independent searches across a worker
-// pool. The search read path touches the layout (or the B⁺-tree), the
-// partition geometry, and the stored reduced coordinates — all immutable
-// between writes — plus the attached cost Sink, which is the one piece of
-// shared mutable state. With workers > 1 the Sink must therefore be
-// goroutine-safe (AtomicCounter) or nil; a plain Counter is only safe at
-// workers <= 1.
+// pool. The search read path touches the layout, the partition geometry,
+// and the stored reduced coordinates — all immutable between writes — plus
+// the attached cost Sink, which is the one piece of shared mutable state.
+// With workers > 1 the Sink must therefore be goroutine-safe
+// (AtomicCounter) or nil; a plain Counter is only safe at workers <= 1.
 //
-// Queries are split into contiguous chunks, one worker each. With the SoA
-// layout materialized, every worker cuts its chunk into tiles of batchTile
-// queries for the tile engine (fused.go), the same engine the solo entry
-// points run with a tile of one. After a dynamic Insert/Delete (layout
-// dropped) workers fall back to a per-query tree-cursor loop over a shared
-// queryScratch. Either way a batch allocates only the result slices.
+// Queries are split into contiguous chunks, one worker each, and every
+// worker cuts its chunk into tiles of batchTile queries for the tile engine
+// (fused.go), the same engine the solo entry points run with a tile of one.
+// A batch allocates only the result slices.
 //
 // Results land at the same position as their query, so out[i] is exactly
 // what the corresponding single-query call would have returned — bit for
-// bit, at every worker count, on both paths.
+// bit, at every worker count.
 
 // BatchKNN answers len(queries) KNN queries using at most workers
 // goroutines (workers <= 0 selects runtime.NumCPU()).
@@ -48,7 +45,7 @@ func (idx *Index) BatchKNNTrace(queries [][]float64, k, workers int) ([][]index.
 }
 
 // batchKNN runs BatchKNN; a non-nil traces receives each query's explain,
-// filled after its tile (or tree-cursor search) finishes.
+// filled after its tile finishes.
 //
 //mmdr:hotpath
 func (idx *Index) batchKNN(queries [][]float64, k, workers int, traces []*QueryTrace) [][]index.Neighbor {
@@ -57,33 +54,8 @@ func (idx *Index) batchKNN(queries [][]float64, k, workers int, traces []*QueryT
 		return out
 	}
 	ops := idx.ops
-	fused := idx.layout != nil
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if !fused {
-			sc := idx.getScratch()
-			defer idx.putScratch(sc)
-			for i := lo; i < hi; i++ {
-				var qs time.Time
-				if ops != nil {
-					qs = time.Now()
-				}
-				out[i] = idx.knnInto(sc, queries[i], k, 0)
-				if traces != nil {
-					idx.cursorTrace(sc, traces[i])
-				}
-				if ops == nil {
-					continue
-				}
-				// Each worker records into its own shard cell, so per-query
-				// instrumentation adds no cross-worker contention.
-				elapsed := time.Since(qs)
-				if ops.knn.RecordShard(w, elapsed) {
-					idx.captureSlowKNN(queries[i], k, elapsed)
-				}
-			}
-			return
-		}
 		bs := idx.getBatchScratch()
 		defer idx.putBatchScratch(bs)
 		for t := lo; t < hi; t += batchTile {
@@ -103,7 +75,8 @@ func (idx *Index) batchKNN(queries [][]float64, k, workers int, traces []*QueryT
 			}
 			// The fused pass interleaves the tile's queries, so per-query
 			// latency is attributed as the tile average — counts stay one
-			// record per query, in the worker's own shard cell.
+			// record per query, in the worker's own shard cell, so
+			// instrumentation adds no cross-worker contention.
 			per := time.Since(ts) / time.Duration(te-t)
 			for i := t; i < te; i++ {
 				if ops.knn.RecordShard(w, per) {
@@ -125,24 +98,8 @@ func (idx *Index) batchKNN(queries [][]float64, k, workers int, traces []*QueryT
 func (idx *Index) BatchRange(queries [][]float64, r float64, workers int) [][]index.Neighbor {
 	out := make([][]index.Neighbor, len(queries))
 	ops := idx.ops
-	fused := idx.layout != nil
 	start := time.Now()
 	pool.Chunks(pool.Workers(workers), len(queries), func(w, lo, hi int) {
-		if !fused {
-			sc := idx.getScratch()
-			defer idx.putScratch(sc)
-			for i := lo; i < hi; i++ {
-				var qs time.Time
-				if ops != nil {
-					qs = time.Now()
-				}
-				out[i] = idx.rangeInto(sc, queries[i], r)
-				if ops != nil {
-					ops.rng.RecordShard(w, time.Since(qs))
-				}
-			}
-			return
-		}
 		bs := idx.getBatchScratch()
 		defer idx.putBatchScratch(bs)
 		for t := lo; t < hi; t += batchTile {

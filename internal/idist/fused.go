@@ -10,8 +10,8 @@ import (
 // The scan engine: every search over the SoA layout runs here, as a tile of
 // up to batchTile queries. Batch calls cut their workload into full tiles;
 // the solo entry points (KNN, KNNApprox, KNNTrace, Range, KNNQuantized)
-// run a tile of one. The tree-cursor search (knnInto, rangeInto) serves
-// only an index whose layout a dynamic Insert/Delete dropped.
+// run a tile of one. The layout is kept current by every write, so this is
+// the only search engine, whatever the index's write history.
 //
 // Each partition scan converts the tile's key annuli to row intervals with
 // binary searches over the layout's key array (the half-open annulus bounds
@@ -23,8 +23,8 @@ import (
 //
 // Equivalence: every query keeps its own radius schedule state, annulus
 // edges, early-abandon bounds, and stop condition; rows reach a query in
-// ascending global position, which is exactly the tree cursor's visit order
-// (lo-extension keys precede hi-extension keys). Identical candidate
+// ascending global position, which is the tree's key order (lo-extension
+// keys precede hi-extension keys). Identical candidate
 // sequences with identical bounds drive identical heap evolution, so a
 // query's answer does not depend on the tile it shares — locked down
 // against the frozen reference and the seqscan oracle by the equivalence
@@ -179,11 +179,10 @@ func (bs *batchScratch) ensure() {
 }
 
 // primeTile projects the tile's queries into every partition's metric and
-// resets the per-query annulus state, by the same expressions as the
-// tree-cursor setup in knnInto. A non-finite reference distance (a query
-// whose squared projection overflows) can never be reached by a finite
-// radius, so that partition starts out exhausted instead of keeping the
-// radius loop alive forever.
+// resets the per-query annulus state. A non-finite reference distance (a
+// query whose squared projection overflows) can never be reached by a
+// finite radius, so that partition starts out exhausted instead of keeping
+// the radius loop alive forever.
 func (idx *Index) primeTile(bs *batchScratch, queries [][]float64) {
 	lay := idx.layout
 	nq := len(queries)
@@ -301,8 +300,8 @@ func (idx *Index) fusedScanKNN(bs *batchScratch, pi, nq int, r float64) {
 	keys := lay.keys[ps:pe]
 	base := float64(pi) * idx.c
 
-	// Collect the round's new row intervals, exactly knnInto's annulus
-	// bookkeeping with the half-open key scans converted to row endpoints:
+	// Collect the round's new row intervals: the Figure 6 annulus
+	// bookkeeping, with half-open key scans converted to row endpoints:
 	// inclusive lo ↦ lowerBound, exclusive lo ↦ upperBound, inclusive hi ↦
 	// upperBound, exclusive hi ↦ lowerBound — the same entry sets
 	// RangeBetween's bound flags select.
@@ -541,9 +540,8 @@ func (idx *Index) evalSegments(bs *batchScratch, pi, ps, nseg int, knnMode bool,
 		act := bs.act[:na]
 		if na == 1 || d < matrix.EarlyAbandonMinLen {
 			// Query-outer evaluation: each active query runs its own tight
-			// loop over the interval's contiguous rows (the arithmetic of
-			// the tree-cursor visit callbacks). A tile of one always lands
-			// here. Elementary intervals are annulus-intersection sized, so for na > 1 the second and
+			// loop over the interval's contiguous rows. A tile of one always
+			// lands here. Elementary intervals are annulus-intersection sized, so for na > 1 the second and
 			// later queries re-read the rows from cache — the row-sharing win
 			// without any per-row selection plumbing, which for narrow rows
 			// costs more than the d-length kernel itself.
@@ -597,10 +595,11 @@ func (idx *Index) evalSegments(bs *batchScratch, pi, ps, nseg int, knnMode bool,
 }
 
 // evalInterval runs one query's tight loop over an elementary interval's
-// contiguous block rows — the same kernel, bound refresh and accumulation as
-// the tree-cursor visit callbacks, so results are bit-identical to them.
-// rids is the interval's record-id slice; e0 is the interval's first row
-// inside the partition block, j the tile row of the query.
+// contiguous block rows: one candidate at a time, refreshing the
+// early-abandon bound after each, which the multi-query kernel path
+// reproduces bit for bit. rids is the interval's record-id slice; e0 is the
+// interval's first row inside the partition block, j the tile row of the
+// query.
 //
 //mmdr:hotpath
 func (idx *Index) evalInterval(bs *batchScratch, tile, block []float64, rids []uint32, d, e0, j int, knnMode bool, r2 float64) {

@@ -63,8 +63,7 @@ func (bs *batchScratch) ensureQuant(nq int) {
 
 // BatchKNNQuantized answers len(queries) quantized KNN queries using at
 // most workers goroutines (workers <= 0 selects runtime.NumCPU()). Same
-// quantizer contract as KNNQuantized, including the transparent exact
-// fallback while the layout is dropped; results are bit-identical to a
+// quantizer contract as KNNQuantized; results are bit-identical to a
 // KNNQuantized loop at every worker count.
 //
 //mmdr:hotpath budget pinned by alloc_test: 2 + one result slice per query
@@ -74,9 +73,6 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 	}
 	if k <= 0 {
 		return make([][]index.Neighbor, len(queries)), nil
-	}
-	if idx.layout == nil || idx.layout.codes == nil {
-		return idx.BatchKNN(queries, k, workers), nil
 	}
 	if budget < k {
 		budget = k
@@ -111,7 +107,7 @@ func (idx *Index) BatchKNNQuantized(queries [][]float64, k, budget, workers int)
 }
 
 // quantTile answers one tile of quantized KNN queries with fused partition
-// scans. len(queries) <= batchTile, k > 0, layout + codes materialized.
+// scans. len(queries) <= batchTile, k > 0, quantizer attached.
 //
 //mmdr:hotpath fused quantized tile; allocates only the per-query results
 func (idx *Index) quantTile(bs *batchScratch, queries [][]float64, k, budget int, out [][]index.Neighbor) {

@@ -84,23 +84,18 @@ type Index struct {
 	partOf []int32
 	slotOf []int32
 
-	// layout is the SoA mirror of the tree's leaf level (see layout.go):
-	// non-nil when materialized, nil after a structural mutation. Queries
-	// dispatch on it — the tile engine of fused.go when present, per-entry
-	// tree visits otherwise — with bitwise-identical answers either way.
+	// layout is the SoA mirror of the tree's leaf level (see layout.go),
+	// built with the index and kept equal to a fresh rebuild by every
+	// Insert and Delete. Every query runs the tile engine of fused.go over
+	// it.
 	layout *soaLayout
 
 	// quant is the attached product-quantizer set (nil = exact-only index).
-	// The layout rebuild derives per-partition code blocks from it; the
-	// quantized query paths require both quant and layout to be present.
+	// The layout derives per-partition code blocks from it.
 	quant *quant.Set
 
-	// scratchPool recycles queryScratch values so tree-cursor KNN/Range
-	// allocate only their returned neighbor slices.
-	scratchPool sync.Pool
-
-	// batchPool recycles batchScratch values (tile state) so every layout
-	// query, solo or batched, allocates only its result slices.
+	// batchPool recycles batchScratch values (tile state) so every query,
+	// solo or batched, allocates only its result slices.
 	batchPool sync.Pool
 
 	// Insert scratch. Insert mutates the tree and is not concurrency-safe,
@@ -275,8 +270,8 @@ func (idx *Index) validateQuant(set *quant.Set) error {
 
 // SetQuantizer attaches (or, with nil, detaches) a trained product-quantizer
 // set and rebuilds the SoA layout so the per-partition code blocks are
-// materialized. Same concurrency contract as RebuildLayout: not safe
-// alongside queries (ConcurrentIndex callers hold the write lock).
+// materialized. Same concurrency contract as Insert: not safe alongside
+// queries (ConcurrentIndex callers hold the write lock).
 func (idx *Index) SetQuantizer(set *quant.Set) error {
 	if set == nil {
 		idx.quant = nil
@@ -295,12 +290,9 @@ func (idx *Index) SetQuantizer(set *quant.Set) error {
 // exact-only).
 func (idx *Index) Quantizer() *quant.Set { return idx.quant }
 
-// HasQuantizer reports whether the quantized query paths are available:
-// a codebook set is attached and the layout (with its code blocks) is
-// materialized.
-func (idx *Index) HasQuantizer() bool {
-	return idx.quant != nil && idx.layout != nil && idx.layout.codes != nil
-}
+// HasQuantizer reports whether the quantized query paths are available,
+// i.e. a codebook set is attached.
+func (idx *Index) HasQuantizer() bool { return idx.quant != nil }
 
 // Tree exposes the underlying B⁺-tree (diagnostics, tests).
 func (idx *Index) Tree() *btree.Tree { return idx.tree }
@@ -309,16 +301,14 @@ func (idx *Index) Tree() *btree.Tree { return idx.tree }
 func (idx *Index) C() float64 { return idx.c }
 
 // queryState tracks, per partition, the query's projection, its distance to
-// the reference point, and the key annulus already scanned — with the
-// candidates and leaves the scans of that annulus visited, for the explain.
+// the reference point, and the key annulus already scanned (the frozen
+// reference search of reference.go).
 type queryState struct {
 	proj      []float64 // reduced coords (subspaces) or nil (outliers)
 	dist      float64   // dist(q_i, O_i) in the partition metric
 	scanLo    float64   // already-scanned annulus [scanLo, scanHi]
 	scanHi    float64
 	exhausted bool
-	cand      int // candidates evaluated (tree-cursor path)
-	leaves    int // leaves visited, summed over scans (tree-cursor path)
 }
 
 // finite reports whether x is neither infinite nor NaN.
@@ -400,23 +390,13 @@ func (idx *Index) KNNTrace(q []float64, k int) ([]index.Neighbor, *QueryTrace) {
 	return idx.knn(q, k, 0, tr), tr
 }
 
-// knn runs one KNN query as a tile of one over the layout, or through the
-// tree cursors while the layout is dropped; a non-nil tr receives the
-// explain.
+// knn runs one KNN query as a tile of one over the layout; a non-nil tr
+// receives the explain.
 //
 //mmdr:hotpath
 func (idx *Index) knn(q []float64, k, maxRounds int, tr *QueryTrace) []index.Neighbor {
 	if k <= 0 {
 		return nil
-	}
-	if idx.layout == nil {
-		sc := idx.getScratch()
-		defer idx.putScratch(sc)
-		out := idx.knnInto(sc, q, k, maxRounds)
-		if tr != nil {
-			idx.cursorTrace(sc, tr)
-		}
-		return out
 	}
 	bs := idx.getBatchScratch()
 	defer idx.putBatchScratch(bs)
@@ -446,133 +426,6 @@ func (idx *Index) setProbe(tr *QueryTrace, pi int, dist, scanLo, scanHi float64,
 	tr.Partitions[pi] = pr
 	tr.Candidates += pr.Candidates
 	tr.LeavesScanned += leaves
-}
-
-// cursorTrace fills tr with the explain of the tree-cursor search knnInto
-// just ran on sc.
-func (idx *Index) cursorTrace(sc *queryScratch, tr *QueryTrace) {
-	tr.Rounds, tr.FinalRadius = sc.rounds, sc.radius
-	tr.Partitions = make([]PartitionProbe, len(idx.parts))
-	for pi := range idx.parts {
-		st := &sc.states[pi]
-		idx.setProbe(tr, pi, st.dist, st.scanLo, st.scanHi, st.exhausted, st.cand, st.leaves)
-	}
-}
-
-// knnInto runs the radius-enlargement search through the tree cursors,
-// using sc's buffers — the path of an index whose layout a dynamic
-// Insert/Delete dropped. All candidate bookkeeping is done in SQUARED
-// distance — sqrt is monotone, so the k-th squared distance selects exactly
-// the same neighbor set — and the single sqrt per result happens when
-// materializing the returned slice, which is the only allocation of the
-// search.
-//
-//mmdr:hotpath
-func (idx *Index) knnInto(sc *queryScratch, q []float64, k, maxRounds int) []index.Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	sc.top.Reset(k)
-	sc.q = q
-	states := sc.states
-	for pi := range idx.parts {
-		p := &idx.parts[pi]
-		st := &states[pi]
-		if p.sub != nil {
-			p.sub.ProjectInto(q, st.proj)
-			st.dist = math.Sqrt(matrix.SqNorm(st.proj))
-		} else {
-			st.dist = matrix.Dist(q, p.centroid)
-		}
-		st.scanLo, st.scanHi = math.Inf(1), math.Inf(-1) // nothing scanned
-		// A non-finite reference distance is never reachable (see
-		// primeTile).
-		st.exhausted = !finite(st.dist)
-		st.cand, st.leaves = 0, 0
-	}
-
-	r := idx.deltaR
-	round := 1
-	for ; ; round++ {
-		allDone := true
-		for pi := range idx.parts {
-			p := &idx.parts[pi]
-			st := &states[pi]
-			if st.exhausted {
-				continue
-			}
-			// Figure 6 case analysis collapses into one annulus formula:
-			// reachable key range = [max(0, dist-r), min(maxRadius, dist+r)].
-			lo := st.dist - r
-			if lo < 0 {
-				lo = 0
-			}
-			hi := st.dist + r
-			if hi > p.maxRadius {
-				hi = p.maxRadius
-			}
-			if lo > hi {
-				// Case 3: sphere does not reach this partition yet.
-				if st.dist-r > p.maxRadius {
-					allDone = false // may reach later
-				}
-				continue
-			}
-			// Scan only the not-yet-visited parts of the annulus. A grown
-			// annulus re-scans with half-open bounds so keys sitting exactly
-			// on a previous edge are visited exactly once.
-			base := float64(pi) * idx.c
-			if st.scanLo > st.scanHi {
-				idx.scanRange(sc, pi, base+lo, base+hi, false, false)
-				st.scanLo, st.scanHi = lo, hi
-			} else {
-				if lo < st.scanLo {
-					idx.scanRange(sc, pi, base+lo, base+st.scanLo, false, true)
-					st.scanLo = lo
-				}
-				if hi > st.scanHi {
-					idx.scanRange(sc, pi, base+st.scanHi, base+hi, true, false)
-					st.scanHi = hi
-				}
-			}
-			if st.scanLo <= 0 && st.scanHi >= p.maxRadius {
-				st.exhausted = true
-			} else {
-				allDone = false
-			}
-		}
-		// Stop when the k-th distance is within the sphere (every closer
-		// point has been seen) or nothing remains to scan. Kth is squared,
-		// so the sphere radius is compared squared too.
-		if sc.top.Len() >= k && sc.top.Kth() <= r*r {
-			break
-		}
-		if allDone {
-			break
-		}
-		if maxRounds > 0 && round >= maxRounds {
-			break
-		}
-		r += idx.deltaR
-	}
-	sc.rounds, sc.radius = round, r
-	out := sc.top.Sorted()
-	for i := range out {
-		out[i].Dist = math.Sqrt(out[i].Dist)
-	}
-	return out
-}
-
-// scanRange visits tree keys in the [lo, hi] annulus slice of partition pi
-// (edges excluded per the flags when re-scanning a grown annulus), feeding
-// each candidate through the scratch's pre-bound visit callback: squared
-// projected distance for subspace members, squared original-space distance
-// for outliers.
-//
-//mmdr:hotpath
-func (idx *Index) scanRange(sc *queryScratch, pi int, lo, hi float64, exLo, exHi bool) {
-	sc.beginScan(pi)
-	sc.st.leaves += idx.tree.RangeBetween(lo, hi, exLo, exHi, sc.visitKNN)
 }
 
 // Stats describes the index structure for monitoring and diagnostics.

@@ -187,7 +187,7 @@ func TestKNNQueryFarOutsideAllPartitions(t *testing.T) {
 // TestOverflowingQueryReturns: a coordinate of 1e160 is finite, but its
 // square overflows, so every partition's reference distance is +Inf. No
 // finite radius reaches such a partition; the searches must treat it as
-// never reachable and return, on the layout and on the tree-cursor path.
+// never reachable and return, on the built layout and after an Insert.
 func TestOverflowingQueryReturns(t *testing.T) {
 	idx, _ := quantFixture(t, 900, 97)
 	q := append([]float64(nil), idx.ds.Point(0)...)
@@ -215,7 +215,7 @@ func TestOverflowingQueryReturns(t *testing.T) {
 	if _, err := idx.Insert(idx.ds.Point(2)); err != nil {
 		t.Fatal(err)
 	}
-	run("tree cursor")
+	run("after insert")
 }
 
 func TestKNNWithForcedLowDim(t *testing.T) {

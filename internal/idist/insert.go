@@ -1,6 +1,7 @@
 package idist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -14,13 +15,20 @@ import (
 // future if tuning is needed; the paper's Table 1 default is used here.
 const insertBeta = 0.1
 
+// errNonFinite rejects an inserted vector with a NaN or infinite coordinate
+// or an overflowing squared norm: its key would be NaN or infinite, which
+// no search can order or reach.
+var errNonFinite = errors.New("idist: Insert vector has a non-finite coordinate or squared norm")
+
 // Insert adds a new point to the index (extended iDistance dynamic
 // insertion, §5). The subspace is chosen with the auxiliary shape array the
 // index keeps per cluster: among subspaces whose Mahalanobis distance to
 // the point is within the cluster's Mahalanobis radius (with 20% slack) and
 // whose projection distance is within β, the closest (normalized by
 // radius) wins. If none qualifies the point joins the outlier partition,
-// which is created on demand. It returns the point's new row ID.
+// which is created on demand. It returns the point's new row ID; a vector of
+// the wrong dimension or with a non-finite coordinate or squared norm is
+// rejected with an error and leaves the index unchanged.
 //
 //mmdr:hotpath
 func (idx *Index) Insert(p []float64) (int, error) {
@@ -41,6 +49,9 @@ func (idx *Index) Insert(p []float64) (int, error) {
 func (idx *Index) insert(p []float64) (int, error) {
 	if len(p) != idx.ds.Dim {
 		return 0, insertDimError(len(p), idx.ds.Dim)
+	}
+	if !finite(matrix.SqNorm(p)) {
+		return 0, errNonFinite
 	}
 
 	if cap(idx.insDiff) < idx.ds.Dim {
@@ -78,10 +89,7 @@ func (idx *Index) insert(p []float64) (int, error) {
 		}
 	}
 
-	// Register the point in the dataset. The tree entry added below makes
-	// the SoA layout stale either way, so drop it up front (queries fall
-	// back to the per-entry tree scan until RebuildLayout).
-	idx.layout = nil
+	// Register the point in the dataset.
 	id := idx.ds.N
 	idx.ds.Append(p)
 	idx.partOf = append(idx.partOf, -1)
@@ -111,7 +119,9 @@ func (idx *Index) insert(p []float64) (int, error) {
 		}
 		idx.partOf[id] = int32(bestPart)
 		idx.slotOf[id] = int32(slot)
-		idx.tree.Insert(float64(bestPart)*idx.c+dist, uint32(id))
+		key := float64(bestPart)*idx.c + dist
+		idx.tree.Insert(key, uint32(id))
+		idx.insertRow(bestPart, key, uint32(id), s.MemberCoords(slot))
 		return id, nil
 	}
 
@@ -124,7 +134,9 @@ func (idx *Index) insert(p []float64) (int, error) {
 	}
 	idx.partOf[id] = int32(oi)
 	idx.slotOf[id] = -1
-	idx.tree.Insert(float64(oi)*idx.c+dist, uint32(id))
+	key := float64(oi)*idx.c + dist
+	idx.tree.Insert(key, uint32(id))
+	idx.insertRow(oi, key, uint32(id), idx.ds.Point(id))
 	idx.red.Outliers = append(idx.red.Outliers, id)
 	return id, nil
 }

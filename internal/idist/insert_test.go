@@ -3,6 +3,7 @@ package idist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mmdr/internal/index"
@@ -86,6 +87,32 @@ func TestInsertDimensionMismatch(t *testing.T) {
 	}
 	if _, err := idx.Insert(make([]float64, 3)); err == nil {
 		t.Fatal("expected dimension error")
+	}
+}
+
+// TestInsertRejectsNonFinite: a NaN or infinite coordinate, or one whose
+// square overflows, would give the point a key no search can order or
+// reach. Insert must refuse it and leave the index exactly as it was.
+func TestInsertRejectsNonFinite(t *testing.T) {
+	ds, red := testSetup(t, 300, 8, 2, 137)
+	idx, err := Build(ds, red, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, n, before := idx.tree.Len(), ds.N, freshLayout(idx)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		p := make([]float64, ds.Dim)
+		copy(p, ds.Point(0))
+		p[3] = v
+		if _, err := idx.Insert(p); err == nil {
+			t.Fatalf("Insert with coordinate %v succeeded", v)
+		}
+		if idx.tree.Len() != size || ds.N != n || len(idx.partOf) != n {
+			t.Fatalf("rejected insert of %v changed the index: tree %d→%d, points %d→%d", v, size, idx.tree.Len(), n, ds.N)
+		}
+		if !reflect.DeepEqual(idx.layout, before) {
+			t.Fatalf("rejected insert of %v changed the layout", v)
+		}
 	}
 }
 

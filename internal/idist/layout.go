@@ -10,12 +10,11 @@ package idist
 // engine of fused.go is the only search that reads the layout; solo
 // queries are tiles of one.
 //
-// The layout is a derived cache: the tree stays authoritative, and any
-// structural mutation (Insert, Delete) invalidates the layout, dropping
-// every query to the tree-cursor search (knnInto, rangeInto) until
-// RebuildLayout (or a fresh Build) re-materializes it. Both paths return
-// bitwise-identical answers; the layout only changes the memory access
-// pattern.
+// The tree stays authoritative and the layout is its exact mirror: Build
+// materializes it (rebuildLayout), and Insert and Delete splice the one
+// entry they change into or out of every array (insertRow, deleteRow), so
+// after any write history the layout is equal to a fresh rebuild of the
+// current tree.
 type soaLayout struct {
 	// Global leaf-order arrays, parallel: entry p of the scan order has key
 	// keys[p], record rids[p], and lives in leaf leafOf[p].
@@ -45,25 +44,18 @@ type soaLayout struct {
 	// codes[pi][r*M : (r+1)*M] for the partition codebook's M sub-blocks.
 	// nil without a quantizer; codes[pi] is nil for a partition the
 	// quantizer does not cover (one created by Insert after training), which
-	// the quantized scans serve with exact distances instead. Codes follow
-	// the same derived-cache discipline as the rest of the layout: dropped
-	// on Insert/Delete, re-encoded by RebuildLayout.
+	// the quantized scans serve with exact distances instead. Insert encodes
+	// its new row, Delete removes it, so the codes track the vector blocks.
 	codes [][]byte
 }
 
-// RebuildLayout re-materializes the SoA scan layout from the current tree.
-// Build calls it once, so a freshly built (or persisted-and-reloaded) index
-// always has the fast path; after dynamic Inserts or Deletes the layout is
-// dropped and queries fall back to the per-entry tree scan until this is
-// called again. The rebuild walks every entry once — O(n) time and one
-// extra copy of the stored vectors — so serving systems typically batch
-// their updates and rebuild once per batch. Not safe concurrently with
-// queries (same contract as Insert/Delete; ConcurrentIndex callers hold the
-// write lock).
-func (idx *Index) RebuildLayout() { idx.rebuildLayout() }
-
+// rebuildLayout materializes the SoA scan layout from the current tree:
+// Build and SetQuantizer call it, and every later write keeps the result
+// current in place (insertRow, deleteRow), so the layout always equals a
+// fresh rebuild of the tree it mirrors. The rebuild walks every entry once —
+// O(n) time and one extra copy of the stored vectors. Not safe concurrently
+// with queries (ConcurrentIndex callers hold the write lock).
 func (idx *Index) rebuildLayout() {
-	idx.layout = nil
 	nParts := len(idx.parts)
 	total := idx.tree.Len()
 	lay := &soaLayout{
@@ -79,19 +71,16 @@ func (idx *Index) rebuildLayout() {
 		lay.rowOf[i] = -1
 	}
 
-	// Pass 1: capture the global leaf order and verify the partition spans
-	// are contiguous (keys ascending + disjoint per-partition key ranges
-	// guarantee it for trees built here; bail out defensively otherwise —
-	// a nil layout just means the slower per-entry scan).
+	// Pass 1: capture the global leaf order. Keys ascend and partition key
+	// ranges are disjoint, so each partition's entries form one contiguous
+	// span; a tree violating that is a corrupted index, not a layout state.
 	counts := make([]int, nParts)
-	ok := true
 	lastPart := -1
 	idx.tree.WalkLeaves(func(ord int, keys []float64, rids []uint32) bool {
 		for i, rid := range rids {
 			pi := int(idx.partOf[rid])
 			if pi < 0 || pi < lastPart || pi >= nParts {
-				ok = false
-				return false
+				panic("idist: tree leaf order does not follow the partition spans")
 			}
 			lastPart = pi
 			counts[pi]++
@@ -101,9 +90,6 @@ func (idx *Index) rebuildLayout() {
 		}
 		return true
 	})
-	if !ok {
-		return
-	}
 	for pi := 0; pi < nParts; pi++ {
 		lay.partStart[pi+1] = lay.partStart[pi] + counts[pi]
 		if s := idx.parts[pi].sub; s != nil {
@@ -159,6 +145,143 @@ func (idx *Index) rebuildLayout() {
 	idx.layout = lay
 }
 
-// HasLayout reports whether the SoA fast path is materialized (false after
-// Insert/Delete until RebuildLayout).
-func (idx *Index) HasLayout() bool { return idx.layout != nil }
+// insertRow splices the entry the tree just stored for record rid — key
+// key in partition pi, stored vector vec — into the layout. The tree places
+// a new key after every equal key and every key of a later leaf is larger,
+// so the entry's global position is the upper bound of key in keys.
+//
+//mmdr:hotpath
+func (idx *Index) insertRow(pi int, key float64, rid uint32, vec []float64) {
+	lay := idx.layout
+	if pi == len(lay.vecs) {
+		lay.addPartition(len(vec))
+	}
+	p := upperBound(lay.keys, key)
+	row := p - lay.partStart[pi]
+	lay.keys = spliceIn(lay.keys, p, 1)
+	lay.keys[p] = key
+	lay.rids = spliceIn(lay.rids, p, 1)
+	lay.rids[p] = rid
+	lay.leafOf = spliceIn(lay.leafOf, p, 1)
+	for i := pi + 1; i < len(lay.partStart); i++ {
+		lay.partStart[i]++
+	}
+	d := lay.dims[pi]
+	lay.vecs[pi] = spliceIn(lay.vecs[pi], row*d, d)
+	copy(lay.vecs[pi][row*d:(row+1)*d], vec)
+	if lay.codes != nil && lay.codes[pi] != nil {
+		cb := idx.quant.Books[pi]
+		lay.codes[pi] = spliceIn(lay.codes[pi], row*cb.M, cb.M)
+		cb.EncodeInto(vec, lay.codes[pi][row*cb.M:(row+1)*cb.M])
+	}
+	for len(lay.rowOf) < len(idx.partOf) {
+		lay.rowOf = append(lay.rowOf, -1)
+	}
+	lay.renumberRows(pi, row)
+	idx.relabelLeaves(p)
+}
+
+// deleteRow removes record rid's entry (partition pi) from the layout and
+// returns its key. A lazy tree delete never removes a leaf, so the leaf
+// ordinals of the remaining entries stay valid.
+//
+//mmdr:hotpath
+func (idx *Index) deleteRow(pi int, rid uint32) float64 {
+	lay := idx.layout
+	row := int(lay.rowOf[rid])
+	p := lay.partStart[pi] + row
+	key := lay.keys[p]
+	lay.keys = spliceOut(lay.keys, p, 1)
+	lay.rids = spliceOut(lay.rids, p, 1)
+	lay.leafOf = spliceOut(lay.leafOf, p, 1)
+	for i := pi + 1; i < len(lay.partStart); i++ {
+		lay.partStart[i]--
+	}
+	d := lay.dims[pi]
+	lay.vecs[pi] = spliceOut(lay.vecs[pi], row*d, d)
+	if lay.codes != nil && lay.codes[pi] != nil {
+		m := idx.quant.Books[pi].M
+		lay.codes[pi] = spliceOut(lay.codes[pi], row*m, m)
+	}
+	lay.rowOf[rid] = -1
+	lay.renumberRows(pi, row)
+	return key
+}
+
+// addPartition appends an empty partition of dimensionality d — the
+// outlier partition Insert creates when the build produced none. Its vector
+// block stays nil only until insertRow splices in the first row; no
+// codebook covers it, so its code block stays nil.
+func (lay *soaLayout) addPartition(d int) {
+	lay.vecs = append(lay.vecs, nil)
+	lay.dims = append(lay.dims, d)
+	lay.partStart = append(lay.partStart, len(lay.keys))
+	if lay.codes != nil {
+		lay.codes = append(lay.codes, nil)
+	}
+}
+
+// renumberRows rewrites rowOf for partition pi's rows from row on, after a
+// splice shifted them.
+func (lay *soaLayout) renumberRows(pi, row int) {
+	ps := lay.partStart[pi]
+	for p := ps + row; p < lay.partStart[pi+1]; p++ {
+		lay.rowOf[lay.rids[p]] = int32(p - ps)
+	}
+}
+
+// relabelLeaves refreshes leafOf after an insert at global position p. A
+// leaf split renumbers every later leaf, so ordinals are rewritten from the
+// leaf holding p on; the walk stops at the first later leaf whose ordinal
+// is already right, which is the next leaf when no split happened.
+func (idx *Index) relabelLeaves(p int) {
+	leafOf := idx.layout.leafOf
+	pos := 0
+	idx.tree.WalkLeaves(func(ord int, keys []float64, _ []uint32) bool {
+		end := pos + len(keys)
+		if end <= p {
+			pos = end
+			return true
+		}
+		if pos > p && end > pos && leafOf[pos] == int32(ord) {
+			return false
+		}
+		for ; pos < end; pos++ {
+			leafOf[pos] = int32(ord)
+		}
+		return true
+	})
+}
+
+// upperBound returns the first position whose key exceeds key. Unlike
+// searchKeys it charges no key comparisons: splicing the in-memory mirror
+// is not a page access of the paper's cost model (tree.Insert charges its
+// own descent).
+func upperBound(keys []float64, key float64) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// spliceIn opens w slots at position at of s, shifting the tail right; the
+// caller overwrites the opened slots.
+func spliceIn[T any](s []T, at, w int) []T {
+	var zero T
+	for i := 0; i < w; i++ {
+		s = append(s, zero)
+	}
+	copy(s[at+w:], s[at:len(s)-w])
+	return s
+}
+
+// spliceOut removes the w elements of s starting at position at.
+func spliceOut[T any](s []T, at, w int) []T {
+	return s[:at+copy(s[at:], s[at+w:])]
+}

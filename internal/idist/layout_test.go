@@ -2,17 +2,35 @@ package idist
 
 import (
 	"math"
+	"reflect"
 	"runtime/debug"
 	"testing"
-
-	"mmdr/internal/index"
 )
 
-// SoA-layout lockdown. The layout is a derived cache of the tree's leaf
-// level; these tests pin down that (a) it mirrors the tree exactly, (b) the
-// fused batch kernels running over it are bitwise equivalent to the frozen
-// reference and the sequential-scan oracle, and (c) dynamic updates drop it
-// and RebuildLayout restores it without perturbing a single bit.
+// SoA-layout lockdown. The layout mirrors the tree's leaf level; these
+// tests pin down that (a) it mirrors the tree exactly, (b) the fused batch
+// kernels running over it are bitwise equivalent to the frozen reference
+// and the sequential-scan oracle, and (c) Insert and Delete keep it equal
+// to a fresh rebuild, so answers after writes match the reference.
+
+// freshLayout returns what rebuildLayout makes of idx's current tree,
+// leaving the maintained layout in place.
+func freshLayout(idx *Index) *soaLayout {
+	kept := idx.layout
+	idx.rebuildLayout()
+	fresh := idx.layout
+	idx.layout = kept
+	return fresh
+}
+
+// requireMirror fails the test unless the maintained layout is deep-equal
+// to a fresh rebuild.
+func requireMirror(t *testing.T, label string, idx *Index) {
+	t.Helper()
+	if !reflect.DeepEqual(idx.layout, freshLayout(idx)) {
+		t.Fatalf("%s: maintained layout differs from a fresh rebuild", label)
+	}
+}
 
 // TestLayoutMirrorsTree checks the structural contract: global keys in
 // ascending leaf order, contiguous per-partition spans agreeing with
@@ -113,65 +131,46 @@ func TestBatchRangeBitIdenticalToReferenceAndOracle(t *testing.T) {
 	}
 }
 
-// TestLayoutInvalidationAndRebuild pins the dynamic-update contract: Insert
-// and Delete drop the layout (queries fall back to the per-entry tree scan,
-// answers unchanged), and RebuildLayout restores the fast path with
-// bitwise-identical answers over the updated contents.
-func TestLayoutInvalidationAndRebuild(t *testing.T) {
+// TestLayoutMaintainedUnderWrites pins the dynamic-update contract: Insert
+// and Delete keep the layout equal to a fresh rebuild, per-query and batch
+// answers after each write equal the frozen reference, and a deleted point
+// is unreachable.
+func TestLayoutMaintainedUnderWrites(t *testing.T) {
 	ds, red := testSetup(t, 800, 12, 3, 31)
 	idx, err := Build(ds, red, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.HasLayout() {
-		t.Fatal("Build left no layout")
-	}
 	qs := equivQueries(ds, 12, 777)
+	check := func(label string) {
+		t.Helper()
+		requireMirror(t, label, idx)
+		batch := idx.BatchKNN(qs, 9, 2)
+		for qi, q := range qs {
+			want := idx.ReferenceKNN(q, 9)
+			sameNeighbors(t, label+"/solo", idx.KNN(q, 9), want)
+			sameNeighbors(t, label+"/batch", batch[qi], want)
+			sameNeighbors(t, label+"/range", idx.Range(q, 0.3), idx.ReferenceRange(q, 0.3))
+		}
+	}
 
 	if _, err := idx.Insert(ds.Point(3)); err != nil {
 		t.Fatal(err)
 	}
-	if idx.HasLayout() {
-		t.Fatal("Insert did not invalidate the layout")
-	}
-	// Fallback path: per-query and batch answers over the stale-layout
-	// index must agree with each other (both run the tree scan now).
-	fallback := make([][]index.Neighbor, len(qs))
-	for qi, q := range qs {
-		fallback[qi] = idx.KNN(q, 9)
-	}
-	batch := idx.BatchKNN(qs, 9, 2)
-	for qi := range qs {
-		sameNeighbors(t, "fallback-batch", batch[qi], fallback[qi])
-	}
-
-	idx.RebuildLayout()
-	if !idx.HasLayout() {
-		t.Fatal("RebuildLayout did not restore the layout")
-	}
-	// Fast path over the updated index: identical to the fallback answers.
-	for qi, q := range qs {
-		sameNeighbors(t, "rebuilt-solo", idx.KNN(q, 9), fallback[qi])
-	}
-	batch = idx.BatchKNN(qs, 9, 1)
-	for qi := range qs {
-		sameNeighbors(t, "rebuilt-batch", batch[qi], fallback[qi])
-	}
-
-	// Delete invalidates too, and the rebuilt layout reflects the removal.
+	check("insert")
 	if !idx.Delete(5) {
 		t.Fatal("Delete(5) found nothing")
 	}
-	if idx.HasLayout() {
-		t.Fatal("Delete did not invalidate the layout")
-	}
-	idx.RebuildLayout()
+	check("delete")
 	for _, q := range qs[:4] {
 		for _, nb := range idx.KNN(q, ds.N) {
 			if nb.ID == 5 {
-				t.Fatal("deleted point still reachable through the rebuilt layout")
+				t.Fatal("deleted point still reachable through the layout")
 			}
 		}
+	}
+	if idx.Delete(5) {
+		t.Fatal("second Delete(5) reported a removal")
 	}
 }
 

@@ -71,10 +71,8 @@ const (
 // estimates select the best ~budget candidates (at most 2*budget-1; budget
 // < k is raised to k) from a scan capped at budget*quantScanFactor rows,
 // and the candidates are re-ranked exactly. Requires an attached quantizer
-// (SetQuantizer / Options.Quant); with the layout dropped by a dynamic
-// Insert/Delete the search transparently falls back to the exact path
-// (codes live in the layout), so callers never observe missing answers
-// mid-update — call RebuildLayout to restore the fast path.
+// (SetQuantizer / Options.Quant). Insert encodes each new row with its
+// partition's codebook, so the search stays on the codes after writes.
 //
 //mmdr:hotpath budget pinned by alloc_test: 1 alloc (the returned slice)
 func (idx *Index) KNNQuantized(q []float64, k, budget int) ([]index.Neighbor, error) {
@@ -83,9 +81,6 @@ func (idx *Index) KNNQuantized(q []float64, k, budget int) ([]index.Neighbor, er
 	}
 	if k <= 0 {
 		return nil, nil
-	}
-	if idx.layout == nil || idx.layout.codes == nil {
-		return idx.KNN(q, k), nil
 	}
 	if budget < k {
 		budget = k

@@ -16,9 +16,9 @@ import (
 //   2. BatchKNNQuantized is bitwise identical to solo KNNQuantized at any
 //      worker count and batch shape.
 //   3. The path allocates only what it returns (solo: 1, batch: 2+nq).
-//   4. With the layout dropped by a dynamic update the quantized entry
-//      points transparently produce exact answers, and RebuildLayout
-//      restores the coded path.
+//   4. Insert encodes its row into the layout's code blocks and Delete
+//      removes it, so after writes the coded path finds new rows and
+//      budget >= n stays exact.
 //
 // The same file carries the KNNApprox recall lockdown (satellite): recall
 // monotone non-decreasing in maxRounds, exact when unbounded.
@@ -183,52 +183,13 @@ func TestBatchKNNQuantizedMatchesSoloAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestQuantizedFallsBackExactAfterUpdate(t *testing.T) {
+// TestQuantizedEncodesInsertedRows: an inserted row gets its code in place
+// (the layout stays equal to a rebuild) and the coded path finds it at full
+// budget, where the answer is the exact one.
+func TestQuantizedEncodesInsertedRows(t *testing.T) {
 	const n, k = 900, 10
 	idx, _ := quantFixture(t, n, 83)
-	q := idx.ds.Point(3)
-
-	// Drop the layout the way a dynamic workload would.
-	pt := make([]float64, idx.ds.Dim)
-	copy(pt, q)
-	id, err := idx.Insert(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.layout != nil {
-		t.Fatal("Insert should drop the derived layout")
-	}
-	got, err := idx.KNNQuantized(q, k, 5*k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameNeighbors(t, "fallback", got, idx.KNN(q, k))
-
-	batch, err := idx.BatchKNNQuantized([][]float64{q}, k, 5*k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameNeighbors(t, "batch fallback", batch[0], got)
-
-	// Rebuilding restores the coded path, including codes for the new row.
-	if !idx.Delete(id) {
-		t.Fatal("Delete of the freshly inserted row failed")
-	}
-	idx.RebuildLayout()
-	if !idx.HasQuantizer() {
-		t.Fatal("rebuilt layout should carry code blocks again")
-	}
-	if _, err := idx.KNNQuantized(q, k, n); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
-	const n, k = 600, 5
-	idx, _ := quantFixture(t, n, 89)
-	// Insert a clone of an existing subspace member so it lands in a coded
-	// partition, then rebuild: the new row must be findable via the coded
-	// path at full budget (exact semantics).
+	// A clone of an existing subspace member lands in a coded partition.
 	src := idx.ds.Point(10)
 	pt := make([]float64, len(src))
 	copy(pt, src)
@@ -236,19 +197,66 @@ func TestRebuildLayoutEncodesInsertedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.RebuildLayout()
+	if idx.layout.codes[idx.partOf[id]] == nil {
+		t.Fatalf("inserted row landed in uncoded partition %d", idx.partOf[id])
+	}
+	requireMirror(t, "insert", idx)
 	got, err := idx.KNNQuantized(pt, k, idx.ds.N)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameNeighbors(t, "full budget", got, idx.KNN(pt, k))
 	found := false
 	for _, nb := range got {
-		if nb.ID == id {
-			found = true
-		}
+		found = found || nb.ID == id
 	}
 	if !found {
 		t.Fatalf("inserted row %d missing from full-budget quantized result %v", id, got)
+	}
+}
+
+// TestQuantizedAnswersAfterUpdate: after an Insert and after the matching
+// Delete the coded path keeps answering from the maintained layout: batch
+// equals solo, budget >= n is exact, and a deleted row is gone from the codes.
+func TestQuantizedAnswersAfterUpdate(t *testing.T) {
+	const n, k = 600, 5
+	idx, _ := quantFixture(t, n, 89)
+	q := idx.ds.Point(3)
+	pt := make([]float64, idx.ds.Dim)
+	copy(pt, q)
+	id, err := idx.Insert(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := idx.ds.N
+	got, err := idx.KNNQuantized(q, k, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNeighbors(t, "full budget after insert", got, idx.KNN(q, k))
+	solo, err := idx.KNNQuantized(q, k, 5*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := idx.BatchKNNQuantized([][]float64{q}, k, 5*k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNeighbors(t, "batch/solo", batch[0], solo)
+
+	if !idx.Delete(id) {
+		t.Fatal("Delete of the freshly inserted row failed")
+	}
+	requireMirror(t, "delete", idx)
+	got, err = idx.KNNQuantized(q, k, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameNeighbors(t, "full budget after delete", got, idx.KNN(q, k))
+	for _, nb := range got {
+		if nb.ID == id {
+			t.Fatalf("deleted row %d still returned by the coded path", id)
+		}
 	}
 }
 

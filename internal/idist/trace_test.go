@@ -131,7 +131,7 @@ func TestKNNTraceJSON(t *testing.T) {
 
 // TestBatchKNNTraceMatchesKNNTrace: the explain is read off per-query tile
 // state, so a query traced inside a full tile must report exactly what it
-// reports alone — on the layout and on the tree-cursor path.
+// reports alone — on the built layout and on one maintained by an Insert.
 func TestBatchKNNTraceMatchesKNNTrace(t *testing.T) {
 	ds, red := testSetup(t, 700, 12, 3, 213)
 	idx, err := Build(ds, red, Options{})
@@ -154,7 +154,7 @@ func TestBatchKNNTraceMatchesKNNTrace(t *testing.T) {
 	if _, err := idx.Insert(ds.Point(4)); err != nil {
 		t.Fatal(err)
 	}
-	check("tree cursor")
+	check("after insert")
 }
 
 // TestKNNTraceCandidatesMatchDistanceOps: every candidate the explain

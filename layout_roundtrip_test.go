@@ -10,8 +10,9 @@ import (
 // Layout round-trip lockdown at the public API: build → persist → load →
 // NewIndex rebuilds the blocked vector layout from scratch, and every query
 // path (KNN, Range, fused BatchKNN/BatchRange) over the reloaded index is
-// bitwise identical to the original. Then dynamic churn drops the layout,
-// RebuildLayout restores it, and answers never move.
+// bitwise identical to the original. Then dynamic churn (an Insert and
+// the Delete of that point) updates the layout in place, and answers never
+// move — no rebuild call exists or is needed.
 
 func flatQueries(data []float64, dim int, rows ...int) []float64 {
 	out := make([]float64, 0, len(rows)*dim)
@@ -89,8 +90,8 @@ func TestLayoutSurvivesSaveLoadRebuild(t *testing.T) {
 	}
 	sameBatch(t, "reload range", loadRange, origRange)
 
-	// Dynamic churn drops the layout; the batch path falls back and still
-	// matches, and RebuildLayout restores the fused path bit for bit.
+	// Dynamic churn is spliced into the layout; the batch and solo paths
+	// still match the original answers bit for bit.
 	p := make([]float64, dim)
 	copy(p, data[:dim])
 	p[0] += 1e-4
@@ -105,11 +106,14 @@ func TestLayoutSurvivesSaveLoadRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBatch(t, "churned fallback batch", churned, origBatch)
-	loadIdx.RebuildLayout()
-	rebuilt, err := loadIdx.BatchKNN(queries, k)
+	sameBatch(t, "churned batch", churned, origBatch)
+	for qi := 0; qi < len(queries)/dim; qi++ {
+		solo := loadIdx.KNN(queries[qi*dim:(qi+1)*dim], k)
+		sameBatch(t, "churned solo", [][]mmdr.Neighbor{solo}, [][]mmdr.Neighbor{origBatch[qi]})
+	}
+	churnedRange, err := loadIdx.BatchRange(queries, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBatch(t, "rebuilt batch", rebuilt, origBatch)
+	sameBatch(t, "churned range", churnedRange, origRange)
 }

@@ -349,7 +349,10 @@ func (idx *Index) Name() string { return idx.idx.Name() }
 
 // Insert adds a new point to the dataset and the index (extended iDistance
 // dynamic insertion, paper §5). It returns the new point's row ID, or an
-// error if the index scheme does not support insertion.
+// error if the index scheme does not support insertion or p has the wrong
+// dimension or a non-finite coordinate or squared norm. The index's scan
+// layout is updated in place, so queries stay on the fast path after
+// writes.
 func (idx *Index) Insert(p []float64) (int, error) {
 	if idx.maint == nil {
 		return 0, fmt.Errorf("mmdr: %s index does not support insertion", idx.Name())
@@ -381,19 +384,6 @@ func (idx *Index) Delete(id int) (bool, error) {
 		return false, fmt.Errorf("mmdr: %s index does not support deletion", idx.Name())
 	}
 	return idx.maint.Delete(id), nil
-}
-
-// RebuildLayout re-materializes the extended iDistance index's blocked
-// vector layout after dynamic Insert/Delete churn. The layout is a derived
-// cache that scans read contiguously; structural mutations drop it (queries
-// transparently fall back to per-entry tree visits, answers unchanged), and
-// rebuilding restores the fast scan and fused-batch paths. No-op on index
-// schemes without a layout (sequential scan). Answers are bit-identical
-// with or without the layout — only throughput changes.
-func (idx *Index) RebuildLayout() {
-	if idx.maint != nil {
-		idx.maint.RebuildLayout()
-	}
 }
 
 // EvaluatePrecision measures the model's mean KNN precision over a query
