@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		shards    = fs.Int("shards", 1, "index replicas, one worker goroutine each")
 		queue     = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth per shard (full queues answer 429)")
 		batch     = fs.Int("batch", serve.DefaultMaxBatch, "coalescing tile: flush to the fused engine at this many requests")
-		flush     = fs.Duration("flush", serve.DefaultFlushDelay, "micro-batch linger before a partial tile flushes")
 		workers   = fs.Int("workers", 1, "intra-shard parallelism of one flushed batch")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Shards:     *shards,
 		QueueDepth: *queue,
 		MaxBatch:   *batch,
-		FlushDelay: *flush,
 		Workers:    *workers,
 		Metrics:    reg,
 	})
@@ -81,8 +79,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 	st := srv.Stats()
-	fmt.Fprintf(stdout, "mmdrserve: serving %d points (dim %d) on http://%s — shards=%d queue=%d batch=%d flush=%v\n",
-		st.Points, st.Dim, bound, st.Shards, st.QueueDepth, st.MaxBatch, time.Duration(st.FlushUS)*time.Microsecond)
+	fmt.Fprintf(stdout, "mmdrserve: serving %d points (dim %d) on http://%s — shards=%d queue=%d batch=%d\n",
+		st.Points, st.Dim, bound, st.Shards, st.QueueDepth, st.MaxBatch)
 	if ready != nil {
 		ready <- bound.String()
 	}

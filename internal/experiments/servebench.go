@@ -29,10 +29,9 @@ type ServeReport struct {
 	Dim   int     `json:"dim"`
 	K     int     `json:"k"`
 
-	// Server shape under test (queue depth, coalescing tile, linger).
-	QueueDepth int   `json:"queue_depth"`
-	MaxBatch   int   `json:"max_batch"`
-	FlushUS    int64 `json:"flush_delay_us"`
+	// Server shape under test (queue depth, coalescing tile cap).
+	QueueDepth int `json:"queue_depth"`
+	MaxBatch   int `json:"max_batch"`
 
 	// Correctness gate: CorrectnessQueries answers fetched over HTTP, each
 	// compared bitwise (IDs and Float64bits of distances) against direct
@@ -217,7 +216,6 @@ func ServeBench(c Config) (*ServeReport, error) {
 		K:          c.K,
 		QueueDepth: serve.DefaultQueueDepth,
 		MaxBatch:   serve.DefaultMaxBatch,
-		FlushUS:    serve.DefaultFlushDelay.Microseconds(),
 	}
 
 	// Reference answers for the correctness gate, computed before any

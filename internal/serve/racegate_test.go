@@ -12,12 +12,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"mmdr"
 	"mmdr/internal/verify"
 )
 
@@ -57,25 +59,33 @@ func tolerable(err error) bool {
 // scenarioMixedLoad hammers one server with interleaved KNN, Range,
 // Insert, and Delete from many clients. Every request must complete (the
 // watchdog tracks each round trip) and the replicas must stay in
-// lockstep (divergence comes back as a request error).
+// lockstep: divergence during the load comes back as a request error, and
+// once the clients quiesce every replica must answer each query bitwise
+// identically, with distances bitwise equal to a brute-force scan over
+// the original points plus every surviving insert.
 func scenarioMixedLoad(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	model, queries := testModel(t, 500, 16, 101)
-	srv, err := New(model, Options{Shards: 3, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	ref := cloneModel(t, model)
+	const shards, k = 3, 3
+	srv, err := New(model, Options{Shards: shards, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// survivors[c] holds the points client c inserted and has not deleted.
+	survivors := make([][][]float64, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			var myIDs []int
+			var myPts [][]float64
 			for i := 0; i < iters; i++ {
 				q := queries[(c*iters+i)%len(queries)]
 				switch i % 4 {
 				case 0:
 					w.Wrap("knn", func() {
-						if _, err := srv.KNN(q, 3); !tolerable(err) {
+						if _, err := srv.KNN(q, k); !tolerable(err) {
 							t.Errorf("knn: %v", err)
 						}
 					})
@@ -92,24 +102,85 @@ func scenarioMixedLoad(t *testing.T, w *verify.Watchdog, iters, clients int) {
 							t.Errorf("insert: %v", err)
 						} else if err == nil {
 							myIDs = append(myIDs, id)
+							myPts = append(myPts, q)
 						}
 					})
 				case 3:
-					if len(myIDs) == 0 {
+					// Delete on every other pass, so about half of each
+					// client's inserts survive into the answer check.
+					if len(myIDs) == 0 || i%8 != 3 {
 						continue
 					}
 					id := myIDs[len(myIDs)-1]
-					myIDs = myIDs[:len(myIDs)-1]
 					w.Wrap("delete", func() {
-						if _, err := srv.Delete(id); !tolerable(err) {
+						found, err := srv.Delete(id)
+						switch {
+						case !tolerable(err):
 							t.Errorf("delete: %v", err)
+						case err == nil && !found:
+							t.Errorf("delete %d: inserted point not found", id)
+						case err == nil:
+							myIDs = myIDs[:len(myIDs)-1]
+							myPts = myPts[:len(myPts)-1]
 						}
 					})
 				}
 			}
+			survivors[c] = myPts
 		}(c)
 	}
 	wg.Wait()
+
+	// The brute-force oracle: the original model plus every surviving
+	// insert, scanned sequentially over the reduced representation.
+	// Inserting through an index over ref extends the representation that
+	// ref's sequential scan reads.
+	oracle, err := ref.NewIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := ref.N()
+	for _, pts := range survivors {
+		for _, p := range pts {
+			if _, err := oracle.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+			live++
+		}
+	}
+	scan := ref.NewSeqScan()
+	// k = live ranks every point, so one lost, extra or misplaced insert
+	// changes the distance list (clients insert the query vectors, so a
+	// small k would see only zero-distance copies).
+	for qi, q := range queries {
+		for _, kk := range []int{k, live} {
+			want := scan.KNN(q, kk)
+			// Consecutive reads advance the round-robin cursor, so
+			// `shards` sequential calls visit every replica once.
+			var first []mmdr.Neighbor
+			for r := 0; r < shards; r++ {
+				var got []mmdr.Neighbor
+				var qerr error
+				w.Wrap("quiesced-knn", func() { got, qerr = srv.KNN(q, kk) })
+				if qerr != nil {
+					t.Fatalf("quiesced knn: %v", qerr)
+				}
+				if r == 0 {
+					first = got
+				} else {
+					sameNeighbors(t, fmt.Sprintf("query %d k=%d replica %d vs replica 0", qi, kk, r), got, first)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("query %d k=%d: %d answers, brute force has %d", qi, kk, len(got), len(want))
+				}
+				for i := range got {
+					if math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Fatalf("query %d k=%d answer %d: dist %v, brute force %v", qi, kk, i, got[i].Dist, want[i].Dist)
+					}
+				}
+			}
+		}
+	}
 	w.Wrap("close", func() {
 		if err := srv.Close(); err != nil {
 			t.Errorf("close: %v", err)
@@ -124,7 +195,7 @@ func scenarioMixedLoad(t *testing.T, w *verify.Watchdog, iters, clients int) {
 func scenarioReloadStorm(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	model, queries := testModel(t, 500, 16, 111)
 	alt, _ := testModel(t, 650, 16, 112)
-	srv, err := New(model, Options{Shards: 2, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	srv, err := New(model, Options{Shards: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +253,21 @@ func scenarioReloadStorm(t *testing.T, w *verify.Watchdog, iters, clients int) {
 	})
 }
 
-// scenarioOverloadThenDrain saturates a tiny admission window, then
-// closes the server while winners are still parked in the coalescing
-// buffer. The contract: every admitted request is answered, every
-// rejected request fails fast, nobody hangs — the exact schedule that
-// deadlocked an earlier version of Close (drain signal after
-// inflight.Wait instead of before).
+// scenarioOverloadThenDrain saturates a tiny admission window while the
+// shard worker is held busy, then closes the server while the winners are
+// still queued and releases the worker only once Close has begun. The
+// contract: every admitted request is answered, every rejected request
+// fails fast, nobody hangs — Close must wait the queued winners out
+// against a live worker, not stop the worker under them.
 func scenarioOverloadThenDrain(t *testing.T, w *verify.Watchdog, clients int) {
 	model, queries := testModel(t, 400, 16, 121)
-	srv, err := New(model, Options{
-		Shards: 1, QueueDepth: 2, MaxBatch: 64, FlushDelay: time.Hour,
-	})
+	const depth = 2
+	srv, err := New(model, Options{Shards: 1, QueueDepth: depth, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh := srv.shards[0]
+	release := holdWorker(sh)
 	var wg sync.WaitGroup
 	var served, rejected int64
 	var mu sync.Mutex
@@ -218,18 +290,31 @@ func scenarioOverloadThenDrain(t *testing.T, w *verify.Watchdog, clients int) {
 			})
 		}(c)
 	}
-	// Close while the two credit winners are parked behind the hour-long
-	// linger: the drain signal must flush them out.
-	w.Wrap("close-under-load", func() {
-		if err := srv.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
+	// Close while the credit winners are queued behind the held worker;
+	// release it only once Close is under way.
+	waitQueued(sh, depth)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		w.Wrap("close-under-load", func() {
+			if err := srv.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+	}()
+	for !srv.Stats().Closing {
+		time.Sleep(10 * time.Microsecond)
+	}
+	release()
+	<-closed
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
 	if served+rejected != int64(clients) {
 		t.Errorf("%d served + %d rejected != %d clients", served, rejected, clients)
+	}
+	if served < depth {
+		t.Errorf("%d served, want at least the %d queued winners", served, depth)
 	}
 }
 
@@ -300,7 +385,7 @@ func scenarioSlowClient(t *testing.T, w *verify.Watchdog) {
 // every client gets an answer or a clean refusal.
 func scenarioRacingClose(t *testing.T, w *verify.Watchdog, clients int) {
 	model, queries := testModel(t, 400, 16, 141)
-	srv, err := New(model, Options{Shards: 2, MaxBatch: 4, FlushDelay: 50 * time.Microsecond})
+	srv, err := New(model, Options{Shards: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,11 @@
 //     queries run without read locks and with warm per-shard caches.
 //   - Read requests are dispatched round-robin and coalesced inside the
 //     shard worker into micro-batches that flush into the fused
-//     BatchKNN/BatchRange engine when a tile fills or a linger deadline
-//     (~200µs) passes — under load the batch kernels amortize partition
-//     scans across requests, under light load latency stays bounded.
+//     BatchKNN/BatchRange engine when a tile fills or the shard queue is
+//     empty. The worker is work-conserving: a lone request runs at once as
+//     a tile of one, and requests that arrive while a tile runs queue up
+//     and leave together as the next tile, so under load the batch
+//     kernels amortize partition scans across requests without any timer.
 //   - Writes (Insert/Delete) and model swaps go through a single
 //     sequencer goroutine that broadcasts each mutation to every shard in
 //     one global order, keeping the replicas in lockstep. Replicas answer
@@ -46,7 +48,6 @@ import (
 const (
 	DefaultQueueDepth = 256
 	DefaultMaxBatch   = 8 // matches the fused engine's batch tile
-	DefaultFlushDelay = 200 * time.Microsecond
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -66,13 +67,11 @@ type Options struct {
 	// QueueDepth bounds each shard's request queue and the write queue;
 	// full queues reject (ErrOverloaded). 0 selects DefaultQueueDepth.
 	QueueDepth int
-	// MaxBatch is the coalescing tile: a shard flushes its pending batch
-	// to the fused engine when this many compatible requests are buffered.
+	// MaxBatch caps the coalescing tile: a shard flushes its pending
+	// batch to the fused engine when this many compatible requests are
+	// buffered, and flushes a partial batch as soon as its queue is empty.
 	// 0 selects DefaultMaxBatch.
 	MaxBatch int
-	// FlushDelay is the micro-batch linger: a partial batch flushes this
-	// long after its first request arrived. 0 selects DefaultFlushDelay.
-	FlushDelay time.Duration
 	// Workers bounds the intra-shard parallelism of one flushed batch
 	// (the BatchKNN worker count). 0 selects 1 — the shard itself is the
 	// unit of parallelism.
@@ -91,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.FlushDelay <= 0 {
-		o.FlushDelay = DefaultFlushDelay
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -153,9 +149,8 @@ type Server struct {
 	next   atomic.Uint64 // round-robin read dispatch cursor
 	writeQ chan *request
 
-	drained chan struct{} // tells workers to stop lingering and flush eagerly
-	stop    chan struct{} // tells workers + sequencer to drain and exit
-	wg      sync.WaitGroup
+	stop chan struct{} // tells workers + sequencer to drain and exit
+	wg   sync.WaitGroup
 
 	// Live model identity, maintained by the sequencer/swap path so no
 	// reader ever touches a Model concurrently with writers.
@@ -175,7 +170,7 @@ type serveMetrics struct {
 	knn, rng, ins, del, reload *metrics.Op
 	rejected, errs             *metrics.Counter
 	batches, batchedQueries    *metrics.Counter
-	flushFull, flushTimer      *metrics.Counter
+	flushFull, flushIdle       *metrics.Counter
 	shardsG, genG, pointsG     *metrics.Gauge
 }
 
@@ -194,7 +189,7 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 		batches:        reg.Counter("serve:batches"),
 		batchedQueries: reg.Counter("serve:batched_queries"),
 		flushFull:      reg.Counter("serve:flush_full"),
-		flushTimer:     reg.Counter("serve:flush_timer"),
+		flushIdle:      reg.Counter("serve:flush_idle"),
 		shardsG:        reg.Gauge("serve:shards"),
 		genG:           reg.Gauge("serve:generation"),
 		pointsG:        reg.Gauge("serve:points"),
@@ -209,12 +204,11 @@ func newServeMetrics(reg *metrics.Registry) serveMetrics {
 func New(model *mmdr.Model, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		closed:  make(chan struct{}),
-		writeQ:  make(chan *request, opts.QueueDepth),
-		drained: make(chan struct{}),
-		stop:    make(chan struct{}),
-		met:     newServeMetrics(opts.Metrics),
+		opts:   opts,
+		closed: make(chan struct{}),
+		writeQ: make(chan *request, opts.QueueDepth),
+		stop:   make(chan struct{}),
+		met:    newServeMetrics(opts.Metrics),
 	}
 	replicas, err := s.buildReplicas(model)
 	if err != nil {
@@ -288,9 +282,8 @@ func (s *Server) nextShard(n int) int {
 //
 // Admission is bounded by per-shard credits, not channel occupancy: a
 // credit is held from enqueue until the answer is sent, so requests the
-// worker has already moved into its coalescing buffer still count against
-// QueueDepth. Without this the worker would launder the bounded queue
-// into unbounded pending state and overload could never reject.
+// worker has already moved into the batch it is gathering still count
+// against QueueDepth: admitted-and-unanswered never exceeds it.
 func (s *Server) submitRead(req *request) (response, error) {
 	if !s.begin() {
 		return response{}, ErrClosed
@@ -439,7 +432,6 @@ type Status struct {
 	Shards     int   `json:"shards"`
 	QueueDepth int   `json:"queue_depth"`
 	MaxBatch   int   `json:"max_batch"`
-	FlushUS    int64 `json:"flush_delay_us"`
 	Workers    int   `json:"workers"`
 	Dim        int   `json:"dim"`
 	Points     int64 `json:"points"`
@@ -456,7 +448,6 @@ func (s *Server) Stats() Status {
 		Shards:     len(s.shards),
 		QueueDepth: s.opts.QueueDepth,
 		MaxBatch:   s.opts.MaxBatch,
-		FlushUS:    s.opts.FlushDelay.Microseconds(),
 		Workers:    s.opts.Workers,
 		Dim:        int(s.dim.Load()),
 		Points:     s.points.Load(),
@@ -466,12 +457,12 @@ func (s *Server) Stats() Status {
 }
 
 // Close shuts the server down in drain order: refuse new requests, quiesce
-// the HTTP layer, tell workers to flush their lingering partial batches,
-// wait for every in-flight request to finish against live workers, then
-// stop the workers and sequencer and wait for them to exit. The drain
-// signal before inflight.Wait matters: requests parked in a coalescing
-// buffer are answered only by a flush, and with a long FlushDelay that
-// flush would otherwise come after the wait that needs it — a deadlock.
+// the HTTP layer, wait for every in-flight request to finish against live
+// workers, then stop the workers and sequencer and wait for them to exit.
+// The order rests on one invariant: a shard worker never blocks with a
+// partial batch pending (it flushes whenever its queue runs empty), so
+// every admitted request is answered by workers that are still running,
+// and inflight.Wait needs no signal to the workers to return.
 // Safe to call concurrently and repeatedly; every call returns only after
 // shutdown completed.
 func (s *Server) Close() error {
@@ -485,7 +476,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	s.closeHTTP()
-	close(s.drained)
 	s.inflight.Wait()
 	close(s.stop)
 	s.wg.Wait()

@@ -95,7 +95,7 @@ func TestServedAnswersBitwiseIdentical(t *testing.T) {
 	want := directAnswers(t, ref, queries, k)
 
 	for _, shards := range []int{1, 3} {
-		srv, err := New(model, Options{Shards: shards, MaxBatch: 4, FlushDelay: 100 * time.Microsecond})
+		srv, err := New(model, Options{Shards: shards, MaxBatch: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,21 +237,40 @@ func TestReloadSwapsModel(t *testing.T) {
 	}
 }
 
+// holdWorker parks sh's worker inside applyWrite: it queues a no-op swap
+// (the replica swapped for itself) whose done channel is unbuffered, so
+// the worker blocks sending the ack until release receives it. It returns
+// once the worker has taken the swap off the queue, leaving every queue
+// slot to the caller's requests.
+func holdWorker(sh *shard) (release func()) {
+	done := make(chan response)
+	sh.queue <- &request{kind: opSwap, newIdx: sh.idx, done: done}
+	for len(sh.queue) > 0 {
+		time.Sleep(10 * time.Microsecond)
+	}
+	return func() { <-done }
+}
+
+// waitQueued blocks until n requests sit in sh's queue.
+func waitQueued(sh *shard, n int) {
+	for len(sh.queue) < n {
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
 func TestOverloadRejects(t *testing.T) {
 	model, queries := testModel(t, 400, 16, 31)
-	// One shard, two admission credits, giant linger: exactly two requests
-	// win credits and park in the coalescing buffer (the linger never
-	// fires, the tile never fills), so every other request must reject
-	// immediately. Admission counts parked requests — credits are held
-	// until the answer is sent, not just while queued — so the worker
-	// cannot launder the bounded queue into unbounded pending state.
-	srv, err := New(model, Options{
-		Shards: 1, QueueDepth: 2, MaxBatch: 64, FlushDelay: time.Hour,
-	})
+	// One shard, two admission credits, worker held busy: exactly two
+	// requests win credits and wait in the queue, so every other request
+	// must reject immediately. Credits are held until the answer is sent,
+	// not just while queued, so admitted-and-unanswered never exceeds
+	// QueueDepth.
+	srv, err := New(model, Options{Shards: 1, QueueDepth: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	release := holdWorker(srv.shards[0])
 
 	const clients = 64
 	errs := make(chan error, clients)
@@ -261,25 +280,94 @@ func TestOverloadRejects(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// The two credit winners block until a flush; all 62 losers reject.
+	// The two credit winners wait on the held worker; all 62 losers reject.
 	for i := 0; i < clients-2; i++ {
 		switch err := <-errs; err {
 		case ErrOverloaded:
 		case nil:
-			t.Fatal("request served while both credits were parked")
+			t.Fatal("request served while the worker was held")
 		default:
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	// Close's drain signal flushes the parked pair; both must be answered,
-	// not abandoned (the other half of the admission contract).
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Once the worker is released both winners must be answered, not
+	// abandoned (the other half of the admission contract).
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
-			t.Errorf("parked request failed: %v", err)
+			t.Errorf("admitted request failed: %v", err)
 		}
+	}
+}
+
+// TestQueuedReadsCoalesce holds the worker while MaxBatch compatible
+// reads queue up: on release they must leave as exactly one full tile,
+// with answers bitwise equal to direct BatchKNN.
+func TestQueuedReadsCoalesce(t *testing.T) {
+	model, queries := testModel(t, 800, 16, 61)
+	const k, maxBatch = 5, 8
+	queries = queries[:maxBatch]
+	want := directAnswers(t, cloneModel(t, model), queries, k)
+	reg := metrics.NewRegistry()
+	srv, err := New(model, Options{Shards: 1, MaxBatch: maxBatch, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	batches, full := reg.Counter("serve:batches"), reg.Counter("serve:flush_full")
+
+	sh := srv.shards[0]
+	release := holdWorker(sh)
+	got := make([][]mmdr.Neighbor, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = srv.KNN(queries[i], k)
+		}(i)
+	}
+	waitQueued(sh, len(queries))
+	b0, f0 := batches.Value(), full.Value()
+	release()
+	wg.Wait()
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		sameNeighbors(t, "coalesced knn", got[i], want[i])
+	}
+	if d := batches.Value() - b0; d != 1 {
+		t.Errorf("serve:batches went up by %d, want 1", d)
+	}
+	if d := full.Value() - f0; d != 1 {
+		t.Errorf("serve:flush_full went up by %d, want 1", d)
+	}
+}
+
+// TestLoneReadFlushesAtOnce: with one client there is never a second
+// request to wait for, so every read must run as its own tile, flushed
+// because the queue went empty.
+func TestLoneReadFlushesAtOnce(t *testing.T) {
+	model, queries := testModel(t, 400, 16, 71)
+	reg := metrics.NewRegistry()
+	srv, err := New(model, Options{Shards: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const calls = 50
+	for i := 0; i < calls; i++ {
+		if _, err := srv.KNN(queries[i%len(queries)], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("serve:batches").Value(); got != calls {
+		t.Errorf("serve:batches = %d after %d sequential reads, want %d", got, calls, calls)
+	}
+	if got := reg.Counter("serve:flush_idle").Value(); got != calls {
+		t.Errorf("serve:flush_idle = %d after %d sequential reads, want %d", got, calls, calls)
 	}
 }
 

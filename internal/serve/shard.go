@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"mmdr"
 )
@@ -18,7 +17,7 @@ type shard struct {
 	idx   *mmdr.Index
 
 	// credits counts reads admitted to this shard and not yet answered —
-	// queued or parked in the coalescing buffer. Admission caps it at
+	// queued or in the batch being gathered. Admission caps it at
 	// QueueDepth; the worker releases a credit with each answer.
 	credits atomic.Int64
 
@@ -63,101 +62,59 @@ func gather(dst []float64, pending []*request) []float64 {
 	return dst
 }
 
-// runShard is the worker loop: drain the queue greedily into the pending
-// batch, flush on tile-full, linger-timeout, or an incompatible request;
-// execute writes and swaps in arrival order relative to the reads around
-// them. On stop it drains the queue (everything admitted gets an answer),
-// flushes, and exits.
+// runShard is the worker loop. It is work-conserving: it drains the queue
+// greedily into the pending batch, flushing on tile-full or an
+// incompatible request, and flushes whatever is pending the moment the
+// queue is empty. Requests that arrive while a tile runs wait in the
+// channel and the next drain takes them as one tile, so batching under
+// load comes from the time a tile takes to run, not from a clock. Writes
+// and swaps execute in arrival order relative to the reads around them.
+// pending is empty whenever the worker blocks; on stop it drains the
+// queue (everything admitted gets an answer) and exits.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	// disarm stops the linger timer, draining a concurrent fire so the
-	// next arm never sees a stale tick (pre-1.23 timer semantics).
-	disarm := func() {
-		if !armed {
-			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		armed = false
-	}
-	doFlush := func() {
-		disarm()
-		s.flushShard(sh)
-	}
-	// After Close signals the drain, stop lingering: flush after every
-	// dispatch so requests already parked in pending get their answers
-	// while Close waits on them.
-	draining := false
 	dispatch := func(req *request) {
 		switch req.kind {
 		case opKNN, opRange:
 			if !sh.compatible(req) {
-				doFlush()
+				s.flushShard(sh)
 			}
 			sh.pending = append(sh.pending, req)
-			if draining || len(sh.pending) >= s.opts.MaxBatch {
-				if !draining {
-					inc(s.met.flushFull)
-				}
-				doFlush()
-			} else if len(sh.pending) == 1 {
-				timer.Reset(s.opts.FlushDelay)
-				armed = true
+			if len(sh.pending) >= s.opts.MaxBatch {
+				inc(s.met.flushFull)
+				s.flushShard(sh)
 			}
 		default:
 			// Writes and swaps serialize with the reads around them:
 			// everything admitted before them must see pre-write state.
-			doFlush()
+			s.flushShard(sh)
 			s.applyWrite(sh, req)
 		}
 	}
-	drainedCh := s.drained
+	drain := func() {
+		for {
+			select {
+			case req := <-sh.queue:
+				dispatch(req)
+			default:
+				if len(sh.pending) > 0 {
+					inc(s.met.flushIdle)
+				}
+				s.flushShard(sh)
+				return
+			}
+		}
+	}
 	for {
 		select {
 		case req := <-sh.queue:
 			dispatch(req)
-			// Greedy drain: fill the tile from whatever is already
-			// queued before going back to a blocking wait.
-		drain:
-			for len(sh.pending) > 0 {
-				select {
-				case req := <-sh.queue:
-					dispatch(req)
-				default:
-					break drain
-				}
-			}
-		case <-drainedCh:
-			draining = true
-			drainedCh = nil // fires once; a nil channel never selects
-			doFlush()
-		case <-timer.C:
-			armed = false
-			if len(sh.pending) > 0 {
-				inc(s.met.flushTimer)
-			}
-			s.flushShard(sh)
+			drain()
 		case <-s.stop:
-			// No new admissions can occur (Close drained in-flight
+			// No new admissions can occur (Close waited out in-flight
 			// requests first), so the queue empties in one pass.
-			for {
-				select {
-				case req := <-sh.queue:
-					dispatch(req)
-				default:
-					doFlush()
-					return
-				}
-			}
+			drain()
+			return
 		}
 	}
 }
